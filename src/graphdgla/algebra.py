@@ -286,14 +286,11 @@ def bracket(f: GraphVector, g: GraphVector) -> GraphVector:
     return fg - gf if (df * dg) % 2 == 0 else fg + gf
 
 
-_B0_VEC: Optional[GraphVector] = None
+_B0_VEC = vec(b0())
 
 
 def differential(f: GraphVector) -> GraphVector:
     """The pointed differential ad(b0); raises m by one, preserves n."""
-    global _B0_VEC
-    if _B0_VEC is None:
-        _B0_VEC = vec(b0())
     if f.is_zero:
         return GraphVector()
     return bracket(_B0_VEC, f)

@@ -66,6 +66,12 @@ def _load_poisson(path: str) -> PoissonStructure:
         raise _InputError("bad Poisson file %s: %s" % (path, exc)) from exc
 
 
+def _solve(args) -> mc.StarSeries:
+    if args.order < 1:
+        raise _InputError("order must be >= 1, got %d" % args.order)
+    return mc.solve(args.order, args.projection, args.sigma_norm)
+
+
 def _emit_vector(v: GraphVector, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(v.to_json_obj()))
@@ -111,7 +117,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    series = mc.solve(args.order, args.projection, args.sigma_norm)
+    series = _solve(args)
     report = {
         "order": series.order,
         "projection": series.projection,
@@ -166,7 +172,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    series = mc.solve(args.order, args.projection, args.sigma_norm)
+    series = _solve(args)
     rows = []
     for n in range(series.order + 1):
         d = mc.defect(series, n)
@@ -195,6 +201,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    if args.n_max < 0 or args.m_max < 1:
+        raise _InputError(
+            "need --n-max >= 0 and --m-max >= 1, got %d and %d" % (args.n_max, args.m_max)
+        )
     rows = homology.dimension_table(args.n_max, args.m_max, cap=args.cap)
     if args.format == "json":
         print(json.dumps(rows))

@@ -146,6 +146,12 @@ class SignedGraphClass:
 ZERO = SignedGraphClass(None, 0)
 
 
+# Up to this many internal vertices the n! loop is faster than the pruned
+# search, whose per-node bookkeeping outweighs the few relabellings it skips
+# (measured on the graphs that solve and the cohomology tables canonicalize).
+_BRUTE_FORCE_MAX_N = 3
+
+
 def canonicalize(g: LabeledGraph) -> SignedGraphClass:
     """Canonical representative of the orientation class of ``g``.
 
@@ -153,7 +159,24 @@ def canonicalize(g: LabeledGraph) -> SignedGraphClass:
     internal-vertex permutations combined with per-vertex L/R swaps; the sign
     is the swap parity relating ``g`` to it.  If the minimum is reachable with
     both parities the class is zero.
+
+    Graphs with more than ``_BRUTE_FORCE_MAX_N`` internal vertices use a
+    branch-and-bound search over the relabellings; smaller ones try all n!.
+    Both give the same class, sign and zero verdict.
     """
+    if g.n > _BRUTE_FORCE_MAX_N:
+        return _canonicalize_pruned(g)
+    return _canonicalize_brute(g)
+
+
+def _signed_class(m: int, best: tuple, parities: set[int]) -> SignedGraphClass:
+    if len(parities) == 2:
+        return ZERO
+    return SignedGraphClass(LabeledGraph(m, best), 1 if 0 in parities else -1)
+
+
+def _canonicalize_brute(g: LabeledGraph) -> SignedGraphClass:
+    """``canonicalize`` by trying all n! relabellings; the reference search."""
     g.validate()
     n, m = g.n, g.m
     if n == 0:
@@ -180,10 +203,84 @@ def canonicalize(g: LabeledGraph) -> SignedGraphClass:
             parities = {flips & 1}
         elif key == best:
             parities.add(flips & 1)
-    if len(parities) == 2:
-        return ZERO
-    sign = 1 if 0 in parities else -1
-    return SignedGraphClass(LabeledGraph(m, best), sign)
+    return _signed_class(m, best, parities)
+
+
+def _canonicalize_pruned(g: LabeledGraph) -> SignedGraphClass:
+    """``canonicalize`` by branch and bound on the lex-min encoding.
+
+    New positions 0..n-1 are filled in order, each by one of the vertices
+    not yet placed.  While positions 0..p are filled, a target not yet
+    placed will land at m+p+1 or later, so counting it as m+p+1 bounds the
+    encoding of the filled prefix from below.  A branch is cut only when
+    that bound exceeds the best prefix found so far, so every minimal
+    relabelling is still reached and both parities are still seen.  Twins
+    (in-degree 0, same unordered target pair) are placed in label order:
+    exchanging two of them fixes the graph and the swap parity.
+    """
+    g.validate()
+    n, m = g.n, g.m
+    if n == 0:
+        return SignedGraphClass(g, 1)
+    targets = g.targets
+    landed = {t for pair in targets for t in pair if t >= m}
+    earlier_twin: list[Optional[int]] = [None] * n
+    last: dict[Pair, int] = {}
+    for u, (a, b) in enumerate(targets):
+        if m + u not in landed:
+            pair = (a, b) if a < b else (b, a)
+            earlier_twin[u] = last.get(pair)
+            last[pair] = u
+    pos = [-1] * n  # old label -> new position, -1 while not placed
+    order: list[int] = []  # new position -> old label
+    best: Optional[tuple] = None
+    parities: set[int] = set()
+
+    def encode(unplaced: int) -> list[Pair]:
+        out = []
+        for u in order:
+            a, b = targets[u]
+            if a >= m:
+                a = m + pos[a - m] if pos[a - m] >= 0 else unplaced
+            if b >= m:
+                b = m + pos[b - m] if pos[b - m] >= 0 else unplaced
+            out.append((a, b) if a <= b else (b, a))
+        return out
+
+    def extend(p: int) -> None:
+        nonlocal best, parities
+        branches = []
+        for u in range(n):
+            twin = earlier_twin[u]
+            if pos[u] >= 0 or (twin is not None and pos[twin] < 0):
+                continue
+            pos[u] = p
+            order.append(u)
+            branches.append((tuple(encode(m + p + 1)), u))
+            order.pop()
+            pos[u] = -1
+        branches.sort()
+        for bound, u in branches:
+            if best is not None and bound > best[: p + 1]:
+                break
+            pos[u] = p
+            order.append(u)
+            if p + 1 < n:
+                extend(p + 1)
+            else:
+                flips = sum(
+                    (a if a < m else m + pos[a - m]) > (b if b < m else m + pos[b - m])
+                    for a, b in targets
+                )
+                if best is None or bound < best:
+                    best, parities = bound, {flips & 1}
+                elif bound == best:
+                    parities.add(flips & 1)
+            order.pop()
+            pos[u] = -1
+
+    extend(0)
+    return _signed_class(m, best, parities)
 
 
 def merge_boundary(c: SignedGraphClass, i: int) -> SignedGraphClass:

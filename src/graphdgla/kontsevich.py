@@ -199,6 +199,16 @@ class Poly:
 # -- Poisson structures ----------------------------------------------------
 
 
+def _index(entry: dict, name: str, pos: int, d: int) -> int:
+    """The 1-based index field ``name`` of linear entry ``c[pos]``, 0-based."""
+    value = int(entry[name])
+    if not 1 <= value <= d:
+        raise PoissonError(
+            'entry c[%d]: index "%s" = %d outside 1..%d' % (pos, name, value, d)
+        )
+    return value - 1
+
+
 @dataclass(frozen=True)
 class PoissonStructure:
     """Constant antisymmetric matrix or linear structure-constant tensor."""
@@ -277,14 +287,20 @@ class PoissonStructure:
         try:
             d = int(obj["d"])
             kind = obj["kind"]
+            if d < 1:
+                raise PoissonError('"d" must be >= 1, got %d' % d)
             if kind == "constant":
+                if len(obj["alpha"]) != d:
+                    raise PoissonError(
+                        '"alpha" has %d rows but "d" is %d' % (len(obj["alpha"]), d)
+                    )
                 return cls.constant(
                     [[Fraction(str(x)) for x in row] for row in obj["alpha"]]
                 )
             if kind == "linear":
                 tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-                for entry in obj["c"]:
-                    i, j, k = int(entry["i"]) - 1, int(entry["j"]) - 1, int(entry["k"]) - 1
+                for pos, entry in enumerate(obj["c"]):
+                    i, j, k = (_index(entry, name, pos, d) for name in "ijk")
                     val = Fraction(str(entry["val"]))
                     tensor[i][j][k] = val
                     tensor[j][i][k] = -val

@@ -74,27 +74,43 @@ def initial_series(projection: str = "none", normalization: str = "merger") -> S
 
 
 def d_term(series: StarSeries, n: int) -> GraphVector:
-    """D_n = -1/2 sum_{j+k=n, j,k>=1} [m_j, m_k]; zero for n=1."""
+    """D_n = -1/2 sum_{j+k=n, j,k>=1} [m_j, m_k]; zero for n=1.
+
+    Each distinct bracket is formed once, for j <= n/2.  Every coefficient
+    has m = 2 (Lie degree 1), where the graded bracket is symmetric, so the
+    mirrored entry [m_{n-j}, m_j] is the same vector and counts twice.
+    """
     if n < 0:
         raise ValueError("d_term defined for n >= 0")
     if n - 1 > series.order:
         raise ValueError("missing lower-order coefficients for D_%d" % n)
     acc = GraphVector()
-    for j in range(1, n):
-        acc = acc + bracket(series.coeffs[j], series.coeffs[n - j])
+    for j in range(1, n // 2 + 1):
+        br = bracket(series.coeffs[j], series.coeffs[n - j])
+        acc = acc + (br if 2 * j == n else br.scale(2))
     return acc.scale(Fraction(-1, 2))
 
 
 def defect(series: StarSeries, n: int) -> GraphVector:
-    """Order-n associativity defect sum_{i+j=n} [m_i, m_j] (no projection)."""
-    acc = GraphVector()
-    for i in range(0, n + 1):
-        acc = acc + bracket(series.coeffs[i], series.coeffs[n - i])
-    return acc
+    """Order-n associativity defect sum_{i+j=n} [m_i, m_j] (no projection).
+
+    The terms with i, j >= 1 sum to -2 D_n; only the two edge terms
+    [m_0, m_n] and [m_n, m_0] are formed here.
+    """
+    m = series.coeffs
+    if n < 1:  # the single term [m_0, m_0], or the empty sum
+        return bracket(m[0], m[0]) if n == 0 else GraphVector()
+    mn = m[n]
+    return bracket(m[0], mn) + bracket(mn, m[0]) - d_term(series, n).scale(2)
 
 
 def lemma1_identity(series: StarSeries, n: int) -> bool:
-    """Formal identity defect_n = 2 (d m_n - D_n), with no projection."""
+    """Formal identity defect_n = 2 (d m_n - D_n), with no projection.
+
+    A real check, not a tautology: both sides share -2 D_n, so it compares
+    the defect's edge terms [m_0, m_n] + [m_n, m_0], formed by ``bracket``,
+    against 2 d m_n from an independent ``differential(m_n)`` call.
+    """
     lhs = defect(series, n)
     rhs = (differential(series.coeffs[n]) - d_term(series, n)).scale(2)
     return lhs == rhs
@@ -111,7 +127,18 @@ def solve(
     projection: str = "none",
     sigma_normalization: str = "merger",
 ) -> StarSeries:
-    """Iterate m_n = P(sigma(D_n)) for 2 <= n <= N from m_0 = b0, m_1 = b1."""
+    """Iterate m_n = P(sigma(D_n)) for 2 <= n <= N from m_0 = b0, m_1 = b1.
+
+    Each order forms every bracket once: D_n forms [m_j, m_{n-j}] for
+    j <= n/2, then d m_n = [b0, m_n] and the edge term [m_n, m_0] are formed
+    once each.  The defect defect_n = d m_n + [m_n, m_0] - 2 D_n, its
+    reported term count, the residual and lemma 1 all reuse them.  Lemma 1
+    stays a real check: it holds exactly when [m_n, m_0] equals the
+    independently formed d m_n, as ``lemma1_identity`` states.
+
+    Raises SigmaDomainError if a term of some D_n has fewer than two
+    internal vertices, where sigma is undefined.
+    """
     if N < 1:
         raise ValueError("truncation order must be >= 1")
     if projection not in PROJECTIONS:
@@ -119,18 +146,18 @@ def solve(
     series = initial_series(projection, sigma_normalization)
     for n in range(2, N + 1):
         dn = d_term(series, n)
-        assert all(g.n >= 2 for g, _ in dn), "D_n term with fewer than 2 vertices"
         mn = apply_projection(sigma(dn, sigma_normalization), projection)
         series.coeffs.append(mn)
         series.order = n
-        residual = apply_projection(differential(mn) - dn, projection)
+        dmn = differential(mn)
+        defect_n = dmn + bracket(mn, series.coeffs[0]) - dn.scale(2)
         series.reports.append(
             OrderReport(
                 n=n,
                 m_n=mn,
-                residual=residual,
-                lemma1_identity=lemma1_identity(series, n),
-                defect_terms=len(apply_projection(defect(series, n), projection)),
+                residual=apply_projection(dmn - dn, projection),
+                lemma1_identity=defect_n == (dmn - dn).scale(2),
+                defect_terms=len(apply_projection(defect_n, projection)),
             )
         )
     return series

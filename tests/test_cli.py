@@ -129,6 +129,29 @@ class TestSolve:
         capsys.readouterr()
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv", [("solve", "0"), ("solve", "-1"), ("defect", "0")])
+    def test_bad_order(self, capsys, argv):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 4, "val": "1"}]},
+            {"d": 3, "kind": "linear", "c": [{"i": 0, "j": 2, "k": 3, "val": "1"}]},
+            {"d": 5, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]},
+        ],
+    )
+    def test_inconsistent_poisson_file(self, capsys, tmp_path, obj):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["solve", "1", "--poisson", str(bad)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: bad Poisson file") and err.count("\n") == 1
+
     def test_byte_stable(self, capsys):
         _, first = run(capsys, "solve", "3", "--projection", "constant",
                        "--format", "json")
@@ -159,6 +182,15 @@ class TestHomology:
         lines = out.splitlines()
         assert lines[0] == "n,m,classes,dim_Z,dim_B,dim_H"
         assert "1,2,1,1,0,1" in lines
+
+    @pytest.mark.parametrize(
+        "argv", [("--n-max", "-1"), ("--m-max", "-1"), ("--m-max", "0")]
+    )
+    def test_rejects_empty_range(self, capsys, argv):
+        code = main(["homology", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestSelftest:

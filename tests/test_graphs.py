@@ -1,5 +1,6 @@
 """Canonicalization, enumeration, and surgery on admissible graphs."""
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from graphdgla.graphs import (
     b0,
     b1,
     b1_power,
+    _canonicalize_brute,
+    _canonicalize_pruned,
     c2R,
     canonicalize,
     empty_graph,
@@ -104,6 +107,66 @@ class TestCanonicalize:
                         else:
                             assert c.graph == base.graph
                             assert c.sign == base.sign * (-1) ** len(flips)
+
+
+class TestPrunedSearch:
+    """The pruned search, and canonicalize at every n, against the n! oracle."""
+
+    @staticmethod
+    def assert_agrees(g):
+        want = _canonicalize_brute(g)
+        assert _canonicalize_pruned(g) == want
+        assert canonicalize(g) == want
+
+    def test_exhaustive_small(self):
+        for n in range(4):
+            for m in range(1, 4):
+                for g in all_labeled_graphs(n, m):
+                    self.assert_agrees(g)
+
+    def test_ascending_pairs_n4_random_swaps(self):
+        rng = random.Random(4)
+        n = 4
+        for m in (1, 2):
+            options = [
+                [p for p in itertools.combinations(range(m + n), 2) if m + k not in p]
+                for k in range(n)
+            ]
+            for assignment in itertools.product(*options):
+                mask = rng.getrandbits(n)
+                targets = tuple(
+                    (b, a) if mask >> k & 1 else (a, b)
+                    for k, (a, b) in enumerate(assignment)
+                )
+                self.assert_agrees(LabeledGraph(m, targets))
+
+    def test_random_n5_n6(self):
+        rng = random.Random(56)
+        for n in (5, 6):
+            for _ in range(150):
+                m = rng.randint(1, 3)
+                targets = tuple(
+                    tuple(rng.sample([t for t in range(m + n) if t != m + k], 2))
+                    for k in range(n)
+                )
+                self.assert_agrees(LabeledGraph(m, targets))
+
+    def test_twin_heavy(self):
+        rng = random.Random(7)
+        graphs = [b1_power(5).graph, b1_power(6).graph]
+        # superpositions Gamma_rst of wedges over (2,3), (1,3), (1,2)
+        for r, s, t in itertools.product(range(3), repeat=3):
+            graphs.append(LabeledGraph(3, ((1, 2),) * r + ((0, 2),) * s + ((0, 1),) * t))
+        # vertices with a twin's target pair that are landed on, so no twins
+        graphs.append(LabeledGraph(2, ((0, 1), (0, 1), (0, 1), (2, 3), (0, 3))))
+        graphs.append(LabeledGraph(2, ((0, 1), (0, 1), (5, 1), (0, 2), (1, 0))))
+        for g in graphs:
+            self.assert_agrees(g)
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                flips = {k for k in range(g.n) if rng.random() < 0.5}
+                self.assert_agrees(apply_perm_and_flips(g, perm, flips))
 
 
 class TestEnumerate:

@@ -109,6 +109,31 @@ class TestPoissonStructure:
         )
         assert alpha.entry(0, 1) == Poly.const(2, 1)
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            (
+                {"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 4, "val": "1"}]},
+                'entry c[0]: index "k" = 4 outside 1..3',
+            ),
+            (
+                {"d": 3, "kind": "linear", "c": [
+                    {"i": 1, "j": 2, "k": 3, "val": "1"},
+                    {"i": 0, "j": 2, "k": 3, "val": "1"},
+                ]},
+                'entry c[1]: index "i" = 0 outside 1..3',
+            ),
+            (
+                {"d": 5, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]},
+                '"alpha" has 2 rows but "d" is 5',
+            ),
+        ],
+    )
+    def test_json_rejects_inconsistent_entries(self, obj, message):
+        with pytest.raises(PoissonError) as info:
+            PoissonStructure.from_json_obj(obj)
+        assert str(info.value) == message
+
 
 class TestEvaluate:
     def test_b1_is_poisson_bracket(self):

@@ -6,6 +6,8 @@ import pytest
 
 from graphdgla import mc
 from graphdgla.algebra import (
+    GraphVector,
+    SigmaDomainError,
     antipode,
     bracket,
     expand_wedge_basis,
@@ -74,6 +76,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             mc.solve(0)
 
+    def test_d_term_outside_sigma_domain(self, monkeypatch):
+        # a one-vertex D_2 term lies outside sigma's domain
+        monkeypatch.setattr(mc, "d_term", lambda series, n: vec(mc.b1()))
+        with pytest.raises(SigmaDomainError):
+            mc.solve(2)
+
     def test_json_report_shape(self):
         series = mc.solve(2, "constant")
         obj = series.reports[0].to_json_obj()
@@ -99,6 +107,31 @@ class TestLemma1Identity:
             series = mc.solve(4, projection)
             for n in range(5):
                 assert mc.lemma1_identity(series, n)
+
+
+class TestBracketTable:
+    """solve and the public functions form each bracket once per order; the
+    sums over every ordered pair are the oracle."""
+
+    def test_matches_full_bracket_sums(self):
+        series = mc.solve(4)
+        m = series.coeffs
+        for n in range(5):
+            full = [bracket(m[i], m[n - i]) for i in range(n + 1)]
+            cross = sum(full[1:n], GraphVector())
+            assert mc.d_term(series, n) == cross.scale(Fraction(-1, 2))
+            assert mc.defect(series, n) == sum(full, GraphVector())
+
+    @pytest.mark.parametrize("normalization", ("merger", "linear-alt"))
+    @pytest.mark.parametrize("projection", mc.PROJECTIONS)
+    def test_reports_match_public_functions(self, projection, normalization):
+        series = mc.solve(4, projection, normalization)
+        for r in series.reports:
+            defect = mc.apply_projection(mc.defect(series, r.n), projection)
+            residual = mc.differential(r.m_n) - mc.d_term(series, r.n)
+            assert r.defect_terms == len(defect)
+            assert r.lemma1_identity == mc.lemma1_identity(series, r.n)
+            assert r.residual == mc.apply_projection(residual, projection)
 
 
 class TestCocycle:
