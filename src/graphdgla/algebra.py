@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -42,6 +43,40 @@ class WedgeSpanError(ValueError):
         self.residual = residual
 
 
+def add_terms(acc: dict, pairs: Iterable[tuple]) -> dict:
+    """Add each (key, coeff) pair into ``acc`` in place and return ``acc``.
+
+    The one accumulation loop of the package.  Coefficients that cancel stay
+    in ``acc`` as zeros; the GraphVector and Poly constructors strip them, so
+    a finished vector or polynomial never stores a zero coefficient.
+    """
+    for key, c in pairs:
+        acc[key] = acc.get(key, 0) + c
+    return acc
+
+
+def split_signed_terms(text: str) -> list[tuple[int, str]]:
+    """Split a sum literal into (sign, body) chunks at + and - outside braces.
+
+    A sign before any content is a prefix.  The last body is blank when the
+    text ends in a sign.
+    """
+    chunks: list[tuple[int, str]] = []
+    depth, sign, cur = 0, 1, ""
+    for ch in text:
+        depth += (ch == "{") - (ch == "}")
+        if depth == 0 and ch in "+-":
+            if cur.strip():
+                chunks.append((sign, cur))
+                cur, sign = "", 1
+            if ch == "-":
+                sign = -sign
+            continue
+        cur += ch
+    chunks.append((sign, cur))
+    return chunks
+
+
 class GraphVector:
     """Finite formal sum of canonical graph classes with rational coefficients."""
 
@@ -56,16 +91,30 @@ class GraphVector:
 
     @classmethod
     def from_class(cls, c: SignedGraphClass, coeff=1) -> "GraphVector":
-        if c.is_zero:
-            return cls()
-        return cls({c.graph: Fraction(coeff) * c.sign})
+        return cls.combine([(c, Fraction(coeff))])
 
     @classmethod
     def from_graph(cls, g: LabeledGraph, coeff=1) -> "GraphVector":
         return cls.from_class(canonicalize(g), coeff)
 
+    @classmethod
+    def combine(cls, pairs: Iterable[tuple[SignedGraphClass, Fraction]]) -> "GraphVector":
+        """The sum of coeff * class over (SignedGraphClass, coeff) pairs.
+
+        Zero classes are skipped and each class's sign is applied.  Terms
+        that cancel are stripped by the constructor, so the result stores no
+        zero coefficient.
+        """
+        return cls(
+            add_terms({}, ((c.graph, k * c.sign) for c, k in pairs if not c.is_zero))
+        )
+
     def items(self) -> list[tuple[LabeledGraph, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+
+    def terms(self) -> Iterable[tuple[LabeledGraph, Fraction]]:
+        """The (graph, coeff) pairs in storage order; ``items`` sorts them."""
+        return self._terms.items()
 
     def coeff(self, g: LabeledGraph) -> Fraction:
         return self._terms.get(g, Fraction(0))
@@ -90,10 +139,7 @@ class GraphVector:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "GraphVector") -> "GraphVector":
-        acc = dict(self._terms)
-        for g, c in other._terms.items():
-            acc[g] = acc.get(g, Fraction(0)) + c
-        return GraphVector(acc)
+        return GraphVector(add_terms(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "GraphVector") -> "GraphVector":
         return self + (-other)
@@ -147,37 +193,18 @@ class GraphVector:
         text = text.strip()
         if text in ("0", ""):
             return cls()
-        # split at +/- outside braces; a sign before any content is a prefix
-        chunks: list[tuple[int, str]] = []
-        depth = 0
-        sign = 1
-        cur = ""
-        for ch in text:
-            if ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-            if depth == 0 and ch in "+-":
-                if cur.strip():
-                    chunks.append((sign, cur))
-                    cur = ""
-                    sign = 1
-                if ch == "-":
-                    sign = -sign
-                continue
-            cur += ch
-        if not cur.strip():
+        chunks = split_signed_terms(text)
+        if not chunks[-1][1].strip():
             raise GraphError("malformed vector literal: %r" % text)
-        chunks.append((sign, cur))
-        acc = cls()
-        for sgn, body in chunks:
-            match = cls._TERM_RE.match(body)
-            if match is None:
-                raise GraphError("malformed vector term: %r" % body)
-            coeff = Fraction(match.group(1)) if match.group(1) else Fraction(1)
-            g = LabeledGraph.from_literal(match.group(2))
-            acc = acc + cls.from_graph(g, sgn * coeff)
-        return acc
+        return cls.combine(cls._parse_term(sgn, body) for sgn, body in chunks)
+
+    @classmethod
+    def _parse_term(cls, sgn: int, body: str) -> tuple[SignedGraphClass, Fraction]:
+        match = cls._TERM_RE.match(body)
+        if match is None:
+            raise GraphError("malformed vector term: %r" % body)
+        coeff = Fraction(match.group(1)) if match.group(1) else Fraction(1)
+        return canonicalize(LabeledGraph.from_literal(match.group(2))), sgn * coeff
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -186,11 +213,10 @@ class GraphVector:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[dict]) -> "GraphVector":
-        acc = cls()
-        for entry in obj:
-            g = LabeledGraph.from_literal(entry["graph"])
-            acc = acc + cls.from_graph(g, Fraction(entry["coeff"]))
-        return acc
+        return cls.combine(
+            (canonicalize(LabeledGraph.from_literal(e["graph"])), Fraction(e["coeff"]))
+            for e in obj
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -241,19 +267,19 @@ def _reattachments(f: LabeledGraph, i: int, g: LabeledGraph) -> Iterator[Labeled
 
 def insert(f: GraphVector, i: int, g: GraphVector) -> GraphVector:
     """The operation f o_i g, extended bilinearly."""
-    acc: dict[LabeledGraph, Fraction] = {}
-    for gf, cf in f:
-        if not 1 <= i <= gf.m:
-            raise GraphError("insertion position %d out of range for m=%d" % (i, gf.m))
-        for gg, cg in g:
-            coeff = cf * cg
-            for raw in _reattachments(gf, i, gg):
-                c = canonicalize(raw)
-                if c.is_zero:
-                    continue
-                key = c.graph
-                acc[key] = acc.get(key, Fraction(0)) + coeff * c.sign
-    return GraphVector(acc)
+
+    def grafts():
+        for gf, cf in f:
+            if not 1 <= i <= gf.m:
+                raise GraphError(
+                    "insertion position %d out of range for m=%d" % (i, gf.m)
+                )
+            for gg, cg in g.terms():
+                coeff = cf * cg
+                for raw in _reattachments(gf, i, gg):
+                    yield canonicalize(raw), coeff
+
+    return GraphVector.combine(grafts())
 
 
 def compose(f: GraphVector, g: GraphVector) -> GraphVector:
@@ -263,15 +289,15 @@ def compose(f: GraphVector, g: GraphVector) -> GraphVector:
     deg_g = g.lie_degree()
     if deg_g is None:
         raise GraphError("right factor of compose must be m-homogeneous")
-    total = GraphVector()
-    for gf, cf in f:
+    acc: dict[LabeledGraph, Fraction] = {}
+    for gf, cf in f.terms():
         fv = GraphVector({gf: cf})
         for i in range(1, gf.m + 1):
-            term = insert(fv, i, g)
+            term = insert(fv, i, g).terms()
             if ((i - 1) * deg_g) % 2:
-                term = -term
-            total = total + term
-    return total
+                term = ((h, -c) for h, c in term)
+            add_terms(acc, term)
+    return GraphVector(acc)
 
 
 def bracket(f: GraphVector, g: GraphVector) -> GraphVector:
@@ -312,22 +338,20 @@ def sigma_normalization(n: int, normalization: str = "merger") -> Fraction:
 
 def sigma(f: GraphVector, normalization: str = "merger") -> GraphVector:
     """Merger almost-contraction: alternating boundary merges, normalized per n."""
-    acc = GraphVector()
-    for g, c in f:
-        if g.n <= 1:
-            raise SigmaDomainError(
-                "sigma needs n >= 2 internal vertices; offending term %s"
-                % g.to_literal()
-            )
-        norm = c * sigma_normalization(g.n, normalization)
-        cls = SignedGraphClass(g, 1)
-        for i in range(1, g.m):
-            merged = merge_boundary(cls, i)
-            if merged.is_zero:
-                continue
-            coeff = norm if (i - 1) % 2 == 0 else -norm
-            acc = acc + GraphVector.from_class(merged, coeff)
-    return acc
+
+    def merges():
+        for g, c in f:
+            if g.n <= 1:
+                raise SigmaDomainError(
+                    "sigma needs n >= 2 internal vertices; offending term %s"
+                    % g.to_literal()
+                )
+            norm = c * sigma_normalization(g.n, normalization)
+            cls = SignedGraphClass(g, 1)
+            for i in range(1, g.m):
+                yield merge_boundary(cls, i), norm if (i - 1) % 2 == 0 else -norm
+
+    return GraphVector.combine(merges())
 
 
 # -- Poisson-kernel projections -------------------------------------------
@@ -336,7 +360,7 @@ def sigma(f: GraphVector, normalization: str = "merger") -> GraphVector:
 def project_constant(f: GraphVector) -> GraphVector:
     """Kill every term with an edge landing on an internal vertex."""
     return GraphVector(
-        {g: c for g, c in f._terms.items() if not g.has_internal_landing()}
+        {g: c for g, c in f.terms() if not g.has_internal_landing()}
     )
 
 
@@ -345,7 +369,7 @@ def project_linear(f: GraphVector) -> GraphVector:
     return GraphVector(
         {
             g: c
-            for g, c in f._terms.items()
+            for g, c in f.terms()
             if all(d <= 1 for d in g.internal_in_degrees())
         }
     )
@@ -381,25 +405,16 @@ def expand_wedge_basis(f: GraphVector) -> dict:
     residual: dict[LabeledGraph, Fraction] = {}
     out: dict = {}
     for g, c in f:
-        counts = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
-        ok = True
-        for pair in g.targets:
-            if pair in counts:
-                counts[pair] += 1
-            else:
-                ok = False
-                break
-        if not ok:
+        counts = Counter(g.targets)
+        if not counts.keys() <= {(0, 1), (0, 2), (1, 2)}:
             residual[g] = c
             continue
         if m == 2:
-            n = g.n
-            out[n] = out.get(n, Fraction(0)) + c * math.factorial(n)
+            key, norm = g.n, math.factorial(g.n)
         else:
-            r, s, t = counts[(1, 2)], counts[(0, 2)], counts[(0, 1)]
-            norm = math.factorial(r) * math.factorial(s) * math.factorial(t)
-            key = (r, s, t)
-            out[key] = out.get(key, Fraction(0)) + c * norm
+            key = (counts[(1, 2)], counts[(0, 2)], counts[(0, 1)])
+            norm = math.prod(math.factorial(k) for k in key)
+        add_terms(out, [(key, c * norm)])
     if residual:
         raise WedgeSpanError(GraphVector(residual))
     return {k: v for k, v in out.items() if v}
@@ -407,13 +422,11 @@ def expand_wedge_basis(f: GraphVector) -> dict:
 
 def reconstruct_wedge_basis(coeffs: dict, m: int) -> GraphVector:
     """Inverse of expand_wedge_basis."""
-    acc = GraphVector()
+    acc: dict[LabeledGraph, Fraction] = {}
     for key, c in coeffs.items():
-        if m == 2:
-            acc = acc + wedge_basis_element(key).scale(c)
-        else:
-            acc = acc + gamma_basis_element(*key).scale(c)
-    return acc
+        element = wedge_basis_element(key) if m == 2 else gamma_basis_element(*key)
+        add_terms(acc, element.scale(c).terms())
+    return GraphVector(acc)
 
 
 # -- antipode and curly bracket -------------------------------------------
@@ -429,13 +442,10 @@ def antipode_sign(m: int, convention: str = "reversal") -> int:
 
 def antipode(f: GraphVector, convention: str = "reversal") -> GraphVector:
     """S(Gamma) = sign(m) * transpose(Gamma), extended linearly."""
-    acc = GraphVector()
-    for g, c in f:
-        eps = antipode_sign(g.m, convention)
-        acc = acc + GraphVector.from_class(
-            transpose(SignedGraphClass(g, 1)), c * eps
-        )
-    return acc
+    return GraphVector.combine(
+        (transpose(SignedGraphClass(g, 1)), c * antipode_sign(g.m, convention))
+        for g, c in f.terms()
+    )
 
 
 def curly(f: GraphVector, g: GraphVector) -> GraphVector:
@@ -453,13 +463,8 @@ def curly(f: GraphVector, g: GraphVector) -> GraphVector:
 
 def delta_codifferential(i: int, j: int) -> dict[tuple[int, int, int], int]:
     """Signed formal sum of index triples delta(i, j)."""
-    acc: dict[tuple[int, int, int], int] = {}
-    for r in range(i + 1):
-        key = (r, i - r, j)
-        acc[key] = acc.get(key, 0) + 1
-    for s in range(j + 1):
-        key = (i, s, j - s)
-        acc[key] = acc.get(key, 0) - 1
+    acc = add_terms({}, (((r, i - r, j), 1) for r in range(i + 1)))
+    add_terms(acc, (((i, s, j - s), -1) for s in range(j + 1)))
     return {k: v for k, v in acc.items() if v}
 
 
@@ -467,6 +472,5 @@ def delta_sum_check(n: int) -> bool:
     """Total cancelation of sum_{i+j=n} delta(i, j)."""
     acc: dict[tuple[int, int, int], int] = {}
     for i in range(n + 1):
-        for key, v in delta_codifferential(i, n - i).items():
-            acc[key] = acc.get(key, 0) + v
-    return all(v == 0 for v in acc.values())
+        add_terms(acc, delta_codifferential(i, n - i).items())
+    return not any(acc.values())

@@ -66,9 +66,13 @@ def _load_poisson(path: str) -> PoissonStructure:
         raise _InputError("bad Poisson file %s: %s" % (path, exc)) from exc
 
 
+def _require(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise _InputError("%s must be >= %d, got %d" % (flag, least, value))
+
+
 def _solve(args) -> mc.StarSeries:
-    if args.order < 1:
-        raise _InputError("order must be >= 1, got %d" % args.order)
+    _require("order", args.order, 1)
     return mc.solve(args.order, args.projection, args.sigma_norm)
 
 
@@ -83,6 +87,8 @@ def _emit_vector(v: GraphVector, fmt: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_in_degree is not None:
+        _require("--max-in-degree", args.max_in_degree, 0)
     classes = enumerate_classes(args.n, args.m, args.max_in_degree, cap=args.cap)
     if args.format == "json":
         print(json.dumps([c.graph.to_literal() for c in classes]))
@@ -117,6 +123,8 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _require("--corpus-degree", args.corpus_degree, 0)
+    _require("--corpus-limit", args.corpus_limit, 1)
     series = _solve(args)
     report = {
         "order": series.order,
@@ -348,6 +356,7 @@ def _selftest_checks(args):
 
 
 def cmd_selftest(args) -> int:
+    _require("--n", args.n, 0)
     checks = _selftest_checks(args)
     if args.only:
         if args.only not in checks:

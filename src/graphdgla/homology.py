@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GraphVector, differential, vec
+from .algebra import GraphVector, add_terms, differential, vec
 from .graphs import (
     DEFAULT_CAP,
     LabeledGraph,
@@ -99,11 +99,10 @@ def composition_is_zero(outer: BoundaryMatrix, inner: BoundaryMatrix) -> bool:
     if inner.target != outer.source:
         raise ValueError("matrices are not adjacent")
     for entries in inner.columns:
-        acc: dict[int, Fraction] = {}
+        image: dict[int, Fraction] = {}
         for mid, c in entries.items():
-            for row, c2 in outer.columns[mid].items():
-                acc[row] = acc.get(row, Fraction(0)) + c * c2
-        if any(acc.values()):
+            add_terms(image, ((row, c * c2) for row, c2 in outer.columns[mid].items()))
+        if any(image.values()):
             return False
     return True
 
@@ -117,16 +116,30 @@ def cohomology_dims(n: int, m: int, cap: int = DEFAULT_CAP) -> tuple[int, int, i
 
 
 def dimension_table(n_max: int, m_max: int, cap: int = DEFAULT_CAP) -> list[dict]:
-    """Rows (n, m, |G_{n,m}|, dim Z, dim B, dim H) for the requested range."""
+    """Rows (n, m, |G_{n,m}|, dim Z, dim B, dim H); each matrix is ranked once."""
     rows = []
     for n in range(n_max + 1):
+        b = 0  # rank of the differential into (n, m); G_{n,0} is empty
         for m in range(1, m_max + 1):
-            size = len(enumerate_classes(n, m, cap=cap))
-            z, b, h = cohomology_dims(n, m, cap=cap)
+            outgoing = boundary_matrix(n, m, cap=cap)
+            size = len(outgoing.source)
+            r = rank(outgoing)
+            z = size - r
             rows.append(
-                {"n": n, "m": m, "classes": size, "dim_Z": z, "dim_B": b, "dim_H": h}
+                {"n": n, "m": m, "classes": size, "dim_Z": z, "dim_B": b, "dim_H": z - b}
             )
+            b = r
     return rows
+
+
+def merged_differential(c: SignedGraphClass) -> GraphVector:
+    """(d Gamma)/b0: d Gamma with boundary points 1 and 2 merged, Gamma in G_{n,1}."""
+    if c.is_zero or c.graph.m != 1:
+        raise ValueError("requires a nonzero class in G_{n,1}")
+    return GraphVector.combine(
+        (merge_boundary(SignedGraphClass(g, 1), 1), coeff)
+        for g, coeff in differential(vec(c)).terms()
+    )
 
 
 def boundary_merge_check(
@@ -139,11 +152,7 @@ def boundary_merge_check(
     """
     if c.is_zero or c.graph.m != 1:
         raise ValueError("boundary_merge_check requires a nonzero class in G_{n,1}")
-    image = differential(vec(c))
-    lhs = GraphVector()
-    for g, coeff in image:
-        merged = merge_boundary(SignedGraphClass(g, 1), 1)
-        lhs = lhs + GraphVector.from_class(merged, coeff)
+    lhs = merged_differential(c)
     i = c.graph.in_degrees()[0]
     rhs = vec(c, Fraction(2) ** (i - 1))
     return lhs == rhs, lhs, rhs
@@ -157,13 +166,7 @@ def merged_differential_factor(c: SignedGraphClass) -> Fraction:
     reattachments of the i boundary edges cancel against the two grafts of
     the empty two-point graph, leaving the 2^i - 2 proper splittings.
     """
-    if c.is_zero or c.graph.m != 1:
-        raise ValueError("requires a nonzero class in G_{n,1}")
-    image = differential(vec(c))
-    lhs = GraphVector()
-    for g, coeff in image:
-        merged = merge_boundary(SignedGraphClass(g, 1), 1)
-        lhs = lhs + GraphVector.from_class(merged, coeff)
+    lhs = merged_differential(c)
     if lhs.is_zero:
         return Fraction(0)
     base = vec(c)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .algebra import GraphVector
+from .algebra import GraphVector, add_terms, split_signed_terms
 from .graphs import GraphError, LabeledGraph, SignedGraphClass
 from .mc import StarSeries
 
@@ -83,10 +83,7 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return Poly(self.d, acc)
+        return Poly(self.d, add_terms(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -99,25 +96,24 @@ class Poly:
             k = Fraction(other)
             return Poly(self.d, {e: c * k for e, c in self._terms.items()})
         self._check(other)
-        acc: dict[tuple, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return Poly(self.d, acc)
+        products = (
+            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+            for e1, c1 in self._terms.items()
+            for e2, c2 in other._terms.items()
+        )
+        return Poly(self.d, add_terms({}, products))
 
     __rmul__ = __mul__
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to x_i (1-based)."""
-        acc: dict[tuple, Fraction] = {}
-        idx = i - 1
-        for e, c in self._terms.items():
-            if e[idx] == 0:
-                continue
-            key = e[:idx] + (e[idx] - 1,) + e[idx + 1:]
-            acc[key] = acc.get(key, Fraction(0)) + c * e[idx]
-        return Poly(self.d, acc)
+        idx = i - 1  # lowering one exponent is injective, so nothing adds up
+        lowered = {
+            e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
+            for e, c in self._terms.items()
+            if e[idx]
+        }
+        return Poly(self.d, lowered)
 
     def multi_diff(self, indices: Iterable[int]) -> "Poly":
         p = self
@@ -160,40 +156,29 @@ class Poly:
         text = text.strip()
         if not text or text == "0":
             return cls.zero(d)
-        acc = cls.zero(d)
-        sign = 1
-        cur = ""
-        chunks: list[tuple[int, str]] = []
-        for ch in text:
-            if ch in "+-":
-                if cur.strip():
-                    chunks.append((sign, cur))
-                    cur = ""
-                    sign = 1
-                if ch == "-":
-                    sign = -sign
-                continue
-            cur += ch
-        if not cur.strip():
+        chunks = split_signed_terms(text)
+        if not chunks[-1][1].strip():
             raise ValueError("malformed polynomial literal: %r" % text)
-        chunks.append((sign, cur))
-        for sgn, body in chunks:
-            coeff = Fraction(sgn)
-            exps = [0] * d
-            for factor in body.split("*"):
-                factor = factor.strip()
-                fm = cls._FACTOR_RE.match(factor)
-                if fm is None:
-                    raise ValueError("malformed factor %r" % factor)
-                if fm.group(1) is not None:
-                    coeff *= Fraction(fm.group(1))
-                else:
-                    i = int(fm.group(2))
-                    if not 1 <= i <= d:
-                        raise ValueError("variable x%d out of range (d=%d)" % (i, d))
-                    exps[i - 1] += int(fm.group(3)) if fm.group(3) else 1
-            acc = acc + cls.monomial(d, exps, coeff)
-        return acc
+        terms = (cls._parse_term(sgn, body, d) for sgn, body in chunks)
+        return cls(d, add_terms({}, terms))
+
+    @classmethod
+    def _parse_term(cls, sgn: int, body: str, d: int) -> tuple[tuple, Fraction]:
+        coeff = Fraction(sgn)
+        exps = [0] * d
+        for factor in body.split("*"):
+            factor = factor.strip()
+            fm = cls._FACTOR_RE.match(factor)
+            if fm is None:
+                raise ValueError("malformed factor %r" % factor)
+            if fm.group(1) is not None:
+                coeff *= Fraction(fm.group(1))
+            else:
+                i = int(fm.group(2))
+                if not 1 <= i <= d:
+                    raise ValueError("variable x%d out of range (d=%d)" % (i, d))
+                exps[i - 1] += int(fm.group(3)) if fm.group(3) else 1
+        return tuple(exps), coeff
 
 
 # -- Poisson structures ----------------------------------------------------
@@ -324,12 +309,9 @@ class PoissonStructure:
         """alpha^{ij} as a polynomial, 0-based indices."""
         if self.kind == "constant":
             return Poly.const(self.d, self.data[i][j])
-        acc = Poly.zero(self.d)
-        for k in range(self.d):
-            c = self.data[i][j][k]
-            if c:
-                acc = acc + Poly.variable(self.d, k + 1) * c
-        return acc
+        d = self.d  # c^{ij}_k x_k: one monomial per k
+        monomials = (tuple(int(t == k) for t in range(d)) for k in range(d))
+        return Poly(d, dict(zip(monomials, self.data[i][j])))
 
     def nonzero_entries(self) -> list[tuple[int, int, Poly]]:
         out = []
@@ -352,7 +334,7 @@ def evaluate_graph(g: LabeledGraph, alpha: PoissonStructure, fs: Sequence[Poly])
         if f.d != d:
             raise ValueError("polynomial dimension %d != Poisson dimension %d" % (f.d, d))
     pairs = alpha.nonzero_entries()
-    total = Poly.zero(d)
+    acc: dict[tuple, Fraction] = {}
     m, n = g.m, g.n
     for assign in itertools.product(pairs, repeat=n):
         derivs: list[list[int]] = [[] for _ in range(m + n)]
@@ -360,23 +342,19 @@ def evaluate_graph(g: LabeledGraph, alpha: PoissonStructure, fs: Sequence[Poly])
             a, b = g.targets[k]
             derivs[a].append(i + 1)
             derivs[b].append(j + 1)
+        # the vertex tensors first, then the boundary functions
+        factors = itertools.chain(
+            (p.multi_diff(derivs[m + k]) for k, (_, _, p) in enumerate(assign)),
+            (fs[s].multi_diff(derivs[s]) for s in range(m)),
+        )
         term = Poly.const(d, 1)
-        for k, (_, _, p) in enumerate(assign):
-            factor = p.multi_diff(derivs[m + k])
+        for factor in factors:
             if factor.is_zero:
-                term = Poly.zero(d)
                 break
             term = term * factor
-        if term.is_zero:
-            continue
-        for s in range(m):
-            factor = fs[s].multi_diff(derivs[s])
-            if factor.is_zero:
-                term = Poly.zero(d)
-                break
-            term = term * factor
-        total = total + term
-    return total
+        else:
+            add_terms(acc, term._terms.items())
+    return Poly(d, acc)
 
 
 def evaluate(
@@ -389,10 +367,11 @@ def evaluate(
         if x.is_zero:
             return Poly.zero(alpha.d)
         return evaluate_graph(x.graph, alpha, fs) * x.sign
-    acc = Poly.zero(alpha.d)
+    acc: dict[tuple, Fraction] = {}
     for g, c in x:
-        acc = acc + evaluate_graph(g, alpha, fs) * c
-    return acc
+        value = evaluate_graph(g, alpha, fs)
+        add_terms(acc, ((e, a * c) for e, a in value._terms.items()))
+    return Poly(alpha.d, acc)
 
 
 # -- star products and defects --------------------------------------------
@@ -413,8 +392,7 @@ def star_series(
     """Star product of two truncated series, truncated at order N."""
     if N is None:
         N = series.order
-    d = alpha.d
-    out = [Poly.zero(d) for _ in range(N + 1)]
+    acc: list[dict[tuple, Fraction]] = [{} for _ in range(N + 1)]
     for p, ap in enumerate(A):
         if ap.is_zero:
             continue
@@ -422,10 +400,9 @@ def star_series(
             if bq.is_zero or p + q > N:
                 continue
             for r in range(min(series.order, N - p - q) + 1):
-                out[p + q + r] = out[p + q + r] + evaluate(
-                    series.coeffs[r], alpha, [ap, bq]
-                )
-    return out
+                product = evaluate(series.coeffs[r], alpha, [ap, bq])
+                add_terms(acc[p + q + r], product._terms.items())
+    return [Poly(alpha.d, terms) for terms in acc]
 
 
 def associativity_defect(

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .algebra import (
     GraphVector,
+    add_terms,
     bracket,
     differential,
     project_constant,
@@ -84,11 +85,12 @@ def d_term(series: StarSeries, n: int) -> GraphVector:
         raise ValueError("d_term defined for n >= 0")
     if n - 1 > series.order:
         raise ValueError("missing lower-order coefficients for D_%d" % n)
-    acc = GraphVector()
+    acc: dict = {}
     for j in range(1, n // 2 + 1):
+        weight = Fraction(-1, 2) if 2 * j == n else -1  # a mirrored pair counts twice
         br = bracket(series.coeffs[j], series.coeffs[n - j])
-        acc = acc + (br if 2 * j == n else br.scale(2))
-    return acc.scale(Fraction(-1, 2))
+        add_terms(acc, ((g, c * weight) for g, c in br.terms()))
+    return GraphVector(acc)
 
 
 def defect(series: StarSeries, n: int) -> GraphVector:

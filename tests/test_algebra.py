@@ -2,6 +2,7 @@
 projections, basis expansions, antipode, and the index-triple codifferential."""
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,10 @@ from graphdgla.algebra import (
     GraphVector,
     SigmaDomainError,
     WedgeSpanError,
+    _reattachments,
+    add_terms,
     antipode,
+    antipode_sign,
     bracket,
     compose,
     curly,
@@ -24,11 +28,14 @@ from graphdgla.algebra import (
     project_linear,
     reconstruct_wedge_basis,
     sigma,
+    sigma_normalization,
     vec,
     wedge_basis_element,
 )
 from graphdgla.graphs import (
+    ZERO,
     LabeledGraph,
+    SignedGraphClass,
     canonicalize,
     b0,
     b1,
@@ -38,8 +45,10 @@ from graphdgla.graphs import (
     c2R,
     empty_graph,
     enumerate_classes,
+    merge_boundary,
     t2L,
     t2R,
+    transpose,
 )
 
 B0 = vec(b0())
@@ -331,3 +340,170 @@ def test_factorials_in_wedge_basis_elements():
         assert wedge_basis_element(n) == vec(
             b1_power(n), Fraction(1, math.factorial(n))
         )
+
+
+# -- fold-with-+ reference implementations --------------------------------
+# The sums as they were written before add_terms and GraphVector.combine:
+# each step adds a one-term vector with GraphVector.__add__.
+
+
+def ref_insert(f, i, g):
+    acc = GraphVector()
+    for gf, cf in f:
+        for gg, cg in g:
+            for raw in _reattachments(gf, i, gg):
+                acc = acc + GraphVector.from_class(canonicalize(raw), cf * cg)
+    return acc
+
+
+def ref_compose(f, g):
+    deg_g = g.lie_degree()
+    total = GraphVector()
+    for gf, cf in f:
+        fv = GraphVector({gf: cf})
+        for i in range(1, gf.m + 1):
+            term = ref_insert(fv, i, g)
+            if ((i - 1) * deg_g) % 2:
+                term = -term
+            total = total + term
+    return total
+
+
+def ref_sigma(f, normalization="merger"):
+    acc = GraphVector()
+    for g, c in f:
+        norm = c * sigma_normalization(g.n, normalization)
+        cls = SignedGraphClass(g, 1)
+        for i in range(1, g.m):
+            merged = merge_boundary(cls, i)
+            if merged.is_zero:
+                continue
+            coeff = norm if (i - 1) % 2 == 0 else -norm
+            acc = acc + GraphVector.from_class(merged, coeff)
+    return acc
+
+
+def ref_antipode(f, convention="reversal"):
+    acc = GraphVector()
+    for g, c in f:
+        eps = antipode_sign(g.m, convention)
+        acc = acc + GraphVector.from_class(transpose(SignedGraphClass(g, 1)), c * eps)
+    return acc
+
+
+def random_coeff(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+
+
+def random_vector(rng, pool, size):
+    """A random combination of ``size`` picks from ``pool``, with repeats,
+    so that coefficients of one class add and sometimes cancel."""
+    v = GraphVector()
+    for c in rng.choices(pool, k=size):
+        v = v + vec(c, random_coeff(rng))
+    return v
+
+
+def random_relabel(rng, g):
+    """``g`` with its internal vertices renumbered and some edge pairs swapped."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+
+    def move(t):
+        return t if t < g.m else g.m + perm[t - g.m]
+
+    targets = [None] * g.n
+    for k, (a, b) in enumerate(g.targets):
+        pair = (move(a), move(b))
+        targets[perm[k]] = pair[::-1] if rng.random() < 0.5 else pair
+    return LabeledGraph(g.m, tuple(targets))
+
+
+def classes(ns, ms):
+    return [c for n in ns for m in ms for c in enumerate_classes(n, m)]
+
+
+class TestAccumulationOracle:
+    """add_terms and GraphVector.combine against the fold-with-+ sums."""
+
+    SEEDS = range(12)
+
+    def test_insert(self):
+        pool = classes((0, 1, 2), (1, 2, 3))
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            f = random_vector(rng, pool, 4)
+            g = random_vector(rng, pool, 3)
+            lo = min((h.m for h, _ in f), default=1)
+            for i in range(1, lo + 1):
+                assert insert(f, i, g) == ref_insert(f, i, g)
+
+    def test_compose(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            m = rng.choice((1, 2, 3))
+            f = random_vector(rng, classes((0, 1, 2), (1, 2, 3)), 4)
+            g = random_vector(rng, classes((0, 1, 2), (m,)), 3)
+            if g.is_zero:
+                continue
+            assert compose(f, g) == ref_compose(f, g)
+
+    def test_sigma(self):
+        pool = classes((2, 3), (2, 3))
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            f = random_vector(rng, pool, 6)
+            for normalization in ("merger", "linear-alt"):
+                assert sigma(f, normalization) == ref_sigma(f, normalization)
+
+    def test_sigma_of_d_term(self):
+        b1v = vec(b1())
+        d2 = bracket(b1v, b1v).scale(Fraction(-1, 2))
+        assert sigma(d2) == ref_sigma(d2)
+
+    def test_antipode(self):
+        pool = classes((0, 1, 2), (1, 2, 3, 4))
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            f = random_vector(rng, pool, 6)
+            for convention in ("reversal", "paper"):
+                assert antipode(f, convention) == ref_antipode(f, convention)
+
+    def test_literal_and_json(self):
+        """Terms given in random labelings, some repeated or cancelling."""
+        pool = classes((0, 1, 2, 3), (2, 3))
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            picks = rng.choices(pool, k=6)
+            picks += picks[:2]  # repeats, which may cancel
+            terms = [(random_coeff(rng), random_relabel(rng, c.graph)) for c in picks]
+            want = GraphVector()
+            for coeff, g in terms:
+                want = want + GraphVector.from_graph(g, coeff)
+            text = " ".join(
+                "%s %s * %s" % ("-" if k < 0 else "+", abs(k), g.to_literal())
+                for k, g in terms
+            )
+            assert GraphVector.from_literal(text) == want
+            obj = [{"graph": g.to_literal(), "coeff": str(k)} for k, g in terms]
+            assert GraphVector.from_json_obj(obj) == want
+
+    def test_cancelled_sum_stores_no_zero(self):
+        rng = random.Random(0)
+        v = random_vector(rng, classes((1, 2), (2, 3)), 8)
+        assert not v.is_zero
+        assert (v - v)._terms == {}
+        w = v + v.scale(-1) + vec(b1())
+        assert w._terms == vec(b1())._terms
+
+    def test_combine_drops_zero_classes(self):
+        c = canonicalize(LabeledGraph(2, ((0, 1),)))
+        assert GraphVector.combine([(ZERO, Fraction(5)), (c, Fraction(1))]) == vec(c)
+        assert GraphVector.combine([(ZERO, Fraction(1))])._terms == {}
+        assert GraphVector.combine([(c, Fraction(1)), (-c, Fraction(1))])._terms == {}
+        assert GraphVector.combine([(-c, Fraction(2))]) == vec(c, -2)
+
+    def test_add_terms_in_place(self):
+        acc = {"a": 1}
+        assert add_terms(acc, [("a", 2), ("b", -1), ("b", 1)]) is acc
+        assert acc == {"a": 3, "b": 0}

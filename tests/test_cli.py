@@ -129,12 +129,27 @@ class TestSolve:
         capsys.readouterr()
         assert code == EXIT_INPUT
 
-    @pytest.mark.parametrize("argv", [("solve", "0"), ("solve", "-1"), ("defect", "0")])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "0"),
+            ("solve", "-1"),
+            ("defect", "0"),
+            ("solve", "1", "--corpus-limit", "0"),
+            ("solve", "1", "--corpus-limit", "-1"),
+            ("solve", "1", "--corpus-degree", "-1"),
+            ("enumerate", "1", "2", "--max-in-degree", "-1"),
+            ("selftest", "--n", "-1"),
+        ],
+    )
     def test_bad_order(self, capsys, argv):
         code = main(list(argv))
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == EXIT_INPUT
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        flag = next((a for a in argv if a.startswith("--")), "order")
+        assert flag in captured.err
 
     @pytest.mark.parametrize(
         "obj",

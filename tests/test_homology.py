@@ -13,9 +13,11 @@ from graphdgla.homology import (
     cohomology_dims,
     composition_is_zero,
     dimension_table,
+    merged_differential,
     merged_differential_factor,
     rank,
 )
+from graphdgla.algebra import vec
 from graphdgla.graphs import b0, b1, enumerate_classes
 
 # exact dimensions computed once by the fraction-free elimination and frozen;
@@ -118,6 +120,7 @@ class TestBoundaryMerge:
             for c in enumerate_classes(n, 1):
                 i = c.graph.in_degrees()[0]
                 assert merged_differential_factor(c) == -(Fraction(2) ** i - 2)
+                assert merged_differential(c) == merged_differential_factor(c) * vec(c)
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):

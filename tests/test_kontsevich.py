@@ -3,12 +3,13 @@ associativity defects over exact polynomial algebras."""
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from graphdgla import mc
-from graphdgla.algebra import project_constant, vec
+from graphdgla.algebra import GraphVector, project_constant, vec
 from graphdgla.graphs import b1, c2, enumerate_classes, t2L, t2R
 from graphdgla.kontsevich import (
     PoissonError,
@@ -16,8 +17,10 @@ from graphdgla.kontsevich import (
     Poly,
     associativity_defect,
     evaluate,
+    evaluate_graph,
     monomials_up_to_degree,
     star,
+    star_series,
 )
 
 
@@ -259,3 +262,136 @@ class TestKernelConsistency:
 def test_monomial_corpus_size():
     # all monomials of total degree <= 3 in 2 variables: C(2+3,3) = 10
     assert len(monomials_up_to_degree(2, 3)) == 10
+
+
+# -- fold-with-+ reference implementations --------------------------------
+# Poly arithmetic and evaluation as written before add_terms: each step adds
+# a one-monomial polynomial, or a whole term, with Poly.__add__.
+
+
+def ref_mul(p, q):
+    acc = Poly.zero(p.d)
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            acc = acc + Poly.monomial(p.d, [a + b for a, b in zip(e1, e2)], c1 * c2)
+    return acc
+
+
+def ref_diff(p, i):
+    acc = Poly.zero(p.d)
+    idx = i - 1
+    for e, c in p.items():
+        if e[idx] == 0:
+            continue
+        acc = acc + Poly.monomial(p.d, e[:idx] + (e[idx] - 1,) + e[idx + 1:], c * e[idx])
+    return acc
+
+
+def ref_multi_diff(p, indices):
+    for i in indices:
+        p = ref_diff(p, i)
+    return p
+
+
+def ref_evaluate_graph(g, alpha, fs):
+    d = alpha.d
+    pairs = alpha.nonzero_entries()
+    total = Poly.zero(d)
+    m, n = g.m, g.n
+    for assign in itertools.product(pairs, repeat=n):
+        derivs = [[] for _ in range(m + n)]
+        for k, (i, j, _) in enumerate(assign):
+            a, b = g.targets[k]
+            derivs[a].append(i + 1)
+            derivs[b].append(j + 1)
+        term = Poly.const(d, 1)
+        for k, (_, _, p) in enumerate(assign):
+            term = ref_mul(term, ref_multi_diff(p, derivs[m + k]))
+        for s in range(m):
+            term = ref_mul(term, ref_multi_diff(fs[s], derivs[s]))
+        total = total + term
+    return total
+
+
+def ref_evaluate(x, alpha, fs):
+    acc = Poly.zero(alpha.d)
+    for g, c in x:
+        acc = acc + ref_evaluate_graph(g, alpha, fs) * c
+    return acc
+
+
+def random_poly(rng, d, degree, size):
+    """A sum of ``size`` random monomials; repeats add and may cancel."""
+    p = Poly.zero(d)
+    for _ in range(size):
+        exps = [rng.randint(0, degree) for _ in range(d)]
+        coeff = Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+        p = p + Poly.monomial(d, exps, coeff)
+    return p
+
+
+STRUCTURES = {
+    "symplectic": PoissonStructure.standard_symplectic(2),
+    "so3": PoissonStructure.so3(),
+}
+
+
+class TestAccumulationOracle:
+    """Poly arithmetic and evaluation against the fold-with-+ sums."""
+
+    SEEDS = range(10)
+
+    def test_mul_and_diff(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            d = rng.choice((1, 2, 3))
+            p, q = random_poly(rng, d, 3, 5), random_poly(rng, d, 3, 4)
+            assert p * q == ref_mul(p, q)
+            assert p * p * q == ref_mul(ref_mul(p, p), q)
+            for i in range(1, d + 1):
+                assert p.diff(i) == ref_diff(p, i)
+
+    def test_evaluate(self):
+        pool = [c for n in (0, 1, 2) for c in enumerate_classes(n, 2)]
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            name = rng.choice(sorted(STRUCTURES))
+            alpha = STRUCTURES[name]
+            fs = [random_poly(rng, alpha.d, 2, 3) for _ in range(2)]
+            x = GraphVector()
+            for c in rng.choices(pool, k=4):
+                x = x + vec(c, Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+            for g, _ in x:
+                assert evaluate_graph(g, alpha, fs) == ref_evaluate_graph(g, alpha, fs)
+            assert evaluate(x, alpha, fs) == ref_evaluate(x, alpha, fs)
+
+    def test_star_series(self):
+        series = mc.solve(2, "linear")
+        alpha = STRUCTURES["so3"]
+        rng = random.Random(3)
+        A = [random_poly(rng, 3, 2, 2) for _ in range(2)]
+        B = [random_poly(rng, 3, 2, 2), Poly.zero(3)]
+        want = [Poly.zero(3) for _ in range(3)]
+        for p, ap in enumerate(A):
+            for q, bq in enumerate(B):
+                for r in range(3 - p - q):
+                    want[p + q + r] = want[p + q + r] + ref_evaluate(
+                        series.coeffs[r], alpha, [ap, bq]
+                    )
+        assert star_series(series, alpha, A, B) == want
+
+    def test_cancelled_sum_stores_no_zero(self):
+        p = random_poly(random.Random(0), 2, 3, 5)
+        assert not p.is_zero
+        assert (p - p)._terms == {}
+        assert (p * Poly.zero(2))._terms == {}
+        assert Poly.parse("x1 - x1 + 2*x2 - x2 - x2", 2)._terms == {}
+
+    def test_entry(self):
+        alpha = STRUCTURES["so3"]
+        for i in range(3):
+            for j in range(3):
+                want = Poly.zero(3)
+                for k in range(3):
+                    want = want + Poly.variable(3, k + 1) * alpha.data[i][j][k]
+                assert alpha.entry(i, j) == want
