@@ -19,14 +19,9 @@ from .graphs import (
     LabeledGraph,
     SignedGraphClass,
     b0,
-    b1,
     b1_power,
     canonicalize,
-    gamma1,
-    gamma2,
-    gamma3,
     merge_boundary,
-    superpose,
     transpose,
 )
 
@@ -325,6 +320,9 @@ def differential(f: GraphVector) -> GraphVector:
 # -- merger contraction ----------------------------------------------------
 
 
+SIGMA_NORMALIZATIONS = ("merger", "linear-alt")
+
+
 def sigma_normalization(n: int, normalization: str = "merger") -> Fraction:
     """Per-term constant in front of the alternating merger sum."""
     if n <= 1:
@@ -404,9 +402,11 @@ def expand_wedge_basis(f: GraphVector) -> dict:
         raise GraphError("wedge expansion requires m in {2, 3}")
     residual: dict[LabeledGraph, Fraction] = {}
     out: dict = {}
+    # at m = 2, index 2 is the internal vertex v1, not a boundary point
+    wedges = {(0, 1)} if m == 2 else {(0, 1), (0, 2), (1, 2)}
     for g, c in f:
         counts = Counter(g.targets)
-        if not counts.keys() <= {(0, 1), (0, 2), (1, 2)}:
+        if not counts.keys() <= wedges:
             residual[g] = c
             continue
         if m == 2:
@@ -430,6 +430,9 @@ def reconstruct_wedge_basis(coeffs: dict, m: int) -> GraphVector:
 
 
 # -- antipode and curly bracket -------------------------------------------
+
+
+ANTIPODE_SIGNS = ("reversal", "paper")
 
 
 def antipode_sign(m: int, convention: str = "reversal") -> int:

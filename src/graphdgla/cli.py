@@ -7,32 +7,22 @@ homology, selftest.  Exit codes: 0 success, 1 identity-check failure,
 from __future__ import annotations
 
 import argparse
+import inspect
+import itertools
 import json
 import sys
-from fractions import Fraction
 
-from . import homology, mc
+from . import checks, homology, mc
 from .algebra import (
+    ANTIPODE_SIGNS,
+    SIGMA_NORMALIZATIONS,
     GraphVector,
     SigmaDomainError,
-    antipode,
     bracket,
     compose,
-    delta_sum_check,
-    differential,
-    expand_wedge_basis,
-    project_constant,
     sigma,
-    vec,
 )
-from .graphs import (
-    DEFAULT_CAP,
-    GraphError,
-    ResourceCapExceeded,
-    SignedGraphClass,
-    b1_power,
-    enumerate_classes,
-)
+from .graphs import DEFAULT_CAP, GraphError, ResourceCapExceeded, enumerate_classes
 from .kontsevich import (
     PoissonError,
     PoissonStructure,
@@ -134,33 +124,20 @@ def cmd_solve(args) -> int:
     }
     ok = True
     if args.projection == "constant":
-        for n in range(2, series.order + 1):
-            expansion = expand_wedge_basis(project_constant(series.coeffs[n]))
-            if expansion != {n: Fraction(1)}:
-                ok = False
-        for n in range(series.order + 1):
-            if project_constant(mc.defect(series, n)):
-                ok = False
+        ok = checks.moyal_coefficients(series) and checks.defects_vanish(series)
         report["moyal_ok"] = ok
     if args.poisson:
         alpha = _load_poisson(args.poisson)
         corpus = monomials_up_to_degree(alpha.d, args.corpus_degree)
         worst = 0
         sample = None
-        for u in corpus[: args.corpus_limit]:
-            for v in corpus[: args.corpus_limit]:
-                for w in corpus[: args.corpus_limit]:
-                    defects = associativity_defect(series, alpha, u, v, w)
-                    nonzero = [n for n, p in enumerate(defects) if p]
-                    if nonzero:
-                        worst = max(worst, len(nonzero))
-                        if sample is None:
-                            sample = {
-                                "u": str(u),
-                                "v": str(v),
-                                "w": str(w),
-                                "orders": nonzero,
-                            }
+        for u, v, w in itertools.product(corpus[: args.corpus_limit], repeat=3):
+            defects = associativity_defect(series, alpha, u, v, w)
+            nonzero = [n for n, p in enumerate(defects) if p]
+            if nonzero:
+                worst = max(worst, len(nonzero))
+                if sample is None:
+                    sample = {"u": str(u), "v": str(v), "w": str(w), "orders": nonzero}
         report["evaluated_defect"] = {"nonzero_triples": worst, "sample": sample}
     if args.format == "json":
         print(json.dumps(report))
@@ -174,9 +151,7 @@ def cmd_solve(args) -> int:
             print("moyal_ok: %s" % report["moyal_ok"])
         if "evaluated_defect" in report:
             print("evaluated_defect: %s" % json.dumps(report["evaluated_defect"]))
-    if args.projection == "constant" and not ok:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_defect(args) -> int:
@@ -214,165 +189,39 @@ def cmd_homology(args) -> int:
             "need --n-max >= 0 and --m-max >= 1, got %d and %d" % (args.n_max, args.m_max)
         )
     rows = homology.dimension_table(args.n_max, args.m_max, cap=args.cap)
+    keys = ("n", "m", "classes", "dim_Z", "dim_B", "dim_H")
     if args.format == "json":
         print(json.dumps(rows))
     elif args.format == "csv":
-        print("n,m,classes,dim_Z,dim_B,dim_H")
+        print(",".join(keys))
         for r in rows:
-            print(
-                "%d,%d,%d,%d,%d,%d"
-                % (r["n"], r["m"], r["classes"], r["dim_Z"], r["dim_B"], r["dim_H"])
-            )
+            print("%d,%d,%d,%d,%d,%d" % tuple(r[k] for k in keys))
     else:
         for r in rows:
-            print(
-                "n=%d m=%d classes=%d Z=%d B=%d H=%d"
-                % (r["n"], r["m"], r["classes"], r["dim_Z"], r["dim_B"], r["dim_H"])
-            )
+            print("n=%d m=%d classes=%d Z=%d B=%d H=%d" % tuple(r[k] for k in keys))
     return EXIT_OK
 
 
 # -- selftest --------------------------------------------------------------
 
 
-def _selftest_checks(args):
-    from .graphs import b0, b1, c2L, c2R, t2L, t2R, merge_boundary
-
-    sigma_norm = args.sigma_norm
-    antipode_sign = args.antipode_sign
-
-    def check_delta_sum():
-        return all(delta_sum_check(n) for n in range(args.n + 1))
-
-    def check_d2():
-        lhs = compose(vec(b1()), vec(b1()))
-        rhs = vec(t2R()) - vec(t2L()) + vec(c2L()) - vec(c2R())
-        return lhs == rhs
-
-    def check_moyal():
-        series = mc.solve(4, "constant", sigma_norm)
-        return all(
-            expand_wedge_basis(series.coeffs[n]) == {n: Fraction(1)}
-            for n in range(2, 5)
-        )
-
-    def check_sigma_contraction():
-        import math
-
-        for i in range(1, 5):
-            for j in range(1, 5):
-                if i + j > 5:
-                    continue
-                n = i + j
-                br = bracket(vec(b1_power(i)), vec(b1_power(j)))
-                got = expand_wedge_basis(project_constant(sigma(br, sigma_norm)))
-                # coefficient -1/(2^{n-1}-1) on b1^n, i.e. -n!/(2^{n-1}-1) on B_n
-                want = {n: Fraction(-math.factorial(n), 2 ** (n - 1) - 1)}
-                if got != want:
-                    return False
-        return True
-
-    def check_d_squared():
-        for n in range(0, 4):
-            for m in range(1, 4):
-                for c in enumerate_classes(n, m):
-                    if differential(differential(vec(c))):
-                        return False
-        return True
-
-    def check_sigma_squared():
-        for n in (2, 3):
-            for m in range(2, 6):
-                for c in enumerate_classes(n, m):
-                    inner = sigma(vec(c), sigma_norm)
-                    if inner and sigma(inner, sigma_norm):
-                        return False
-        return True
-
-    def check_simplicial():
-        for n in range(1, 4):
-            for m in range(3, 6):
-                for c in enumerate_classes(n, m):
-                    for i in range(1, m):
-                        for j in range(i, m - 1):
-                            lhs = merge_boundary(merge_boundary(c, i), j)
-                            rhs = merge_boundary(merge_boundary(c, j + 1), i)
-                            if GraphVector.from_class(lhs) != GraphVector.from_class(rhs):
-                                return False
-        return True
-
-    def check_antipode():
-        pool = [vec(c) for n in range(0, 3) for c in enumerate_classes(n, 2)]
-        if antipode(vec(b1()), antipode_sign) != vec(b1()):
-            return False
-        for f in pool:
-            if antipode(antipode(f, antipode_sign), antipode_sign) != f:
-                return False
-            for g in pool:
-                lhs = antipode(compose(f, g), antipode_sign)
-                rhs = compose(
-                    antipode(f, antipode_sign), antipode(g, antipode_sign)
-                )
-                if lhs != rhs:
-                    return False
-        return True
-
-    def check_lemma1():
-        series = mc.solve(4, "none", sigma_norm)
-        return all(mc.lemma1_identity(series, n) for n in range(0, 5))
-
-    def check_kernel_consistency():
-        alpha = PoissonStructure.standard_symplectic(2)
-        fs = [Poly.parse("x1^2*x2", 2), Poly.parse("x1*x2", 2)]
-        for n in range(0, 4):
-            for c in enumerate_classes(n, 2):
-                if c.graph.has_internal_landing() and evaluate(c, alpha, fs):
-                    return False
-        return True
-
-    def check_merged_differential():
-        from fractions import Fraction as F
-
-        for n in range(1, 4):
-            for c in enumerate_classes(n, 1):
-                i = c.graph.in_degrees()[0]
-                if homology.merged_differential_factor(c) != -(F(2) ** i - 2):
-                    return False
-        return True
-
-    return {
-        "delta-sum": check_delta_sum,
-        "d2-regression": check_d2,
-        "moyal": check_moyal,
-        "sigma-contraction": check_sigma_contraction,
-        "d-squared": check_d_squared,
-        "sigma-squared": check_sigma_squared,
-        "simplicial": check_simplicial,
-        "antipode": check_antipode,
-        "lemma1": check_lemma1,
-        "kernel-consistency": check_kernel_consistency,
-        "merged-differential": check_merged_differential,
-    }
-
-
 def cmd_selftest(args) -> int:
     _require("--n", args.n, 0)
-    checks = _selftest_checks(args)
+    selected = checks.CHECKS
     if args.only:
-        if args.only not in checks:
+        if args.only not in selected:
             raise _InputError("unknown check %r" % args.only)
-        checks = {args.only: checks[args.only]}
-    all_ok = True
+        selected = {args.only: selected[args.only]}
     results = {}
-    for name, fn in checks.items():
-        ok = bool(fn())
-        results[name] = ok
-        all_ok = all_ok and ok
+    for name, fn in selected.items():
+        # a check's parameters are named after the selftest flags it reads
+        params = inspect.signature(fn).parameters
+        results[name] = bool(fn(**{k: v for k, v in vars(args).items() if k in params}))
         if args.format != "json":
-            print("%-20s %s" % (name, "pass" if ok else "FAIL"))
+            print("%-20s %s" % (name, "pass" if results[name] else "FAIL"))
     if args.format == "json":
         print(json.dumps(results))
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all(results.values()) else EXIT_CHECK_FAILED
 
 
 # -- argument parsing ------------------------------------------------------
@@ -406,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma", help="merger contraction of a graph vector")
     p.add_argument("f")
-    p.add_argument("--sigma-norm", choices=("merger", "linear-alt"), default="merger")
+    p.add_argument("--sigma-norm", choices=SIGMA_NORMALIZATIONS, default="merger")
     _add_common(p)
     p.set_defaults(fn=cmd_sigma)
 
@@ -414,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", type=int)
     p.add_argument("--projection", choices=mc.PROJECTIONS, default="none")
     p.add_argument("--poisson", default=None)
-    p.add_argument("--sigma-norm", choices=("merger", "linear-alt"), default="merger")
+    p.add_argument("--sigma-norm", choices=SIGMA_NORMALIZATIONS, default="merger")
     p.add_argument("--corpus-degree", type=int, default=3)
     p.add_argument("--corpus-limit", type=int, default=4)
     _add_common(p)
@@ -423,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("defect", help="associativity defects of a solved series")
     p.add_argument("order", type=int)
     p.add_argument("--projection", choices=mc.PROJECTIONS, default="none")
-    p.add_argument("--sigma-norm", choices=("merger", "linear-alt"), default="merger")
+    p.add_argument("--sigma-norm", choices=SIGMA_NORMALIZATIONS, default="merger")
     _add_common(p)
     p.set_defaults(fn=cmd_defect)
 
@@ -444,10 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the invariant suite")
     p.add_argument("--only", default=None)
     p.add_argument("--n", type=int, default=20, help="bound for delta-sum")
-    p.add_argument("--sigma-norm", choices=("merger", "linear-alt"), default="merger")
-    p.add_argument(
-        "--antipode-sign", choices=("reversal", "paper"), default="reversal"
-    )
+    p.add_argument("--sigma-norm", choices=SIGMA_NORMALIZATIONS, default="merger")
+    p.add_argument("--antipode-sign", choices=ANTIPODE_SIGNS, default="reversal")
     _add_common(p)
     p.set_defaults(fn=cmd_selftest)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 Pair = tuple[int, int]
 

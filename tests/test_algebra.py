@@ -253,6 +253,20 @@ class TestWedgeBasis:
             expand_wedge_basis(vec(t2R()))
         assert exc.value.residual == vec(t2R())
 
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "G{m=2; v1=(b1,b2); v2=(b2,v1)}",
+            "G{m=2; v1=(b1,v2); v2=(b1,b2)}",
+        ],
+    )
+    def test_m2_edge_on_internal_vertex_is_not_a_wedge(self, literal):
+        # at m = 2, target index 2 is the internal vertex v1, not a boundary point
+        v = GraphVector.from_literal(literal)
+        with pytest.raises(WedgeSpanError) as exc:
+            expand_wedge_basis(v)
+        assert exc.value.residual == v
+
     def test_round_trip(self):
         v = vec(b1_power(2), Fraction(3, 7)) + vec(b1_power(4), Fraction(-1, 5))
         assert reconstruct_wedge_basis(expand_wedge_basis(v), 2) == v

@@ -208,11 +208,34 @@ class TestHomology:
         assert captured.out == "" and captured.err.startswith("error: ")
 
 
+SELFTEST_NAMES = [
+    "delta-sum",
+    "d2-regression",
+    "moyal",
+    "sigma-contraction",
+    "d-squared",
+    "sigma-squared",
+    "simplicial",
+    "antipode",
+    "lemma1",
+    "kernel-consistency",
+    "merged-differential",
+]
+
+
 class TestSelftest:
     def test_fresh_checkout_passes(self, capsys):
         code, out = run(capsys, "selftest", "--format", "json")
         assert code == EXIT_OK
         assert all(json.loads(out).values())
+        assert list(json.loads(out)) == SELFTEST_NAMES
+
+    def test_paper_antipode_sign_fails(self, capsys):
+        # the antipode convention reaches the check: (-1)^m breaks the morphism
+        code, out = run(capsys, "selftest", "--only", "antipode",
+                        "--antipode-sign", "paper", "--format", "json")
+        assert code == EXIT_CHECK_FAILED
+        assert json.loads(out) == {"antipode": False}
 
     def test_only_delta_sum(self, capsys):
         code, _ = run(capsys, "selftest", "--only", "delta-sum", "--n", "20")

@@ -8,7 +8,6 @@ from graphdgla.graphs import (
     GraphError,
     LabeledGraph,
     ResourceCapExceeded,
-    SignedGraphClass,
     b0,
     b1,
     b1_power,

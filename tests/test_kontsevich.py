@@ -1,7 +1,6 @@
 """Graph evaluation as polydifferential operators, star products, and
 associativity defects over exact polynomial algebras."""
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
