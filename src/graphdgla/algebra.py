@@ -81,10 +81,6 @@ class GraphVector:
         self._terms = {g: c for g, c in (terms or {}).items() if c}
 
     @classmethod
-    def zero(cls) -> "GraphVector":
-        return cls()
-
-    @classmethod
     def from_class(cls, c: SignedGraphClass, coeff=1) -> "GraphVector":
         return cls.combine([(c, Fraction(coeff))])
 
@@ -155,10 +151,6 @@ class GraphVector:
         """Common m of all terms, or None if mixed or empty."""
         ms = {g.m for g in self._terms}
         return ms.pop() if len(ms) == 1 else None
-
-    def vertex_count(self) -> Optional[int]:
-        ns = {g.n for g in self._terms}
-        return ns.pop() if len(ns) == 1 else None
 
     def lie_degree(self) -> Optional[int]:
         m = self.boundary_arity()

@@ -1,12 +1,11 @@
 """Exact low-degree cohomology of the graph complex.
 
 The differential preserves the internal-vertex count n, so each (n, m)
-component gives a finite exact boundary matrix; ranks are computed with
-fraction-free (Bareiss) elimination over big integers.
+component gives a finite exact boundary matrix; ranks are computed by
+sparse exact elimination over Q on the matrix columns.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,13 +33,6 @@ class BoundaryMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.target), len(self.source))
 
-    def dense_rows(self) -> list[list[Fraction]]:
-        rows = [[Fraction(0)] * len(self.source) for _ in self.target]
-        for col, entries in enumerate(self.columns):
-            for row, c in entries.items():
-                rows[row][col] = c
-        return rows
-
 
 def boundary_matrix(n: int, m: int, cap: int = DEFAULT_CAP) -> BoundaryMatrix:
     source = [c.graph for c in enumerate_classes(n, m, cap=cap)]
@@ -60,38 +52,21 @@ def boundary_matrix(n: int, m: int, cap: int = DEFAULT_CAP) -> BoundaryMatrix:
     return BoundaryMatrix(n, m, source, target, columns)
 
 
-def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        scale = math.lcm(*(c.denominator for c in row)) if row else 1
-        out.append([int(c * scale) for c in row])
-    return out
-
-
 def rank(matrix: BoundaryMatrix) -> int:
-    return _rank_bareiss(_integer_rows(matrix.dense_rows()))
-
-
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    M = [row[:] for row in rows]
-    nr = len(M)
-    nc = len(M[0]) if M else 0
-    prev = 1
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                M[i][j] = (M[r][c] * M[i][j] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
-        prev = M[r][c]
-        r += 1
-    return r
+    """Rank over Q: reduce each column against the pivots keyed by leading row."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for entries in matrix.columns:
+        col = {row: c for row, c in entries.items() if c}
+        while col:
+            lead = min(col)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = col
+                break
+            factor = col[lead] / pivot[lead]
+            add_terms(col, ((row, -factor * c) for row, c in pivot.items()))
+            col = {row: c for row, c in col.items() if c}
+    return len(pivots)
 
 
 def composition_is_zero(outer: BoundaryMatrix, inner: BoundaryMatrix) -> bool:

@@ -123,9 +123,6 @@ class Poly:
             p = p.diff(i)
         return p
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
-
     # -- text form ---------------------------------------------------------
 
     def __str__(self) -> str:

@@ -114,6 +114,17 @@ class TestSolve:
         report = json.loads(out)
         assert "evaluated_defect" in report
 
+    @pytest.mark.parametrize("order, count", [("1", 0), ("2", 12)])
+    def test_nonzero_triples_counts_triples(self, capsys, so3_file, order, count):
+        # of the 64 default-corpus triples (1, x1, x2, x3 in each slot), 12
+        # have a nonzero order-2 associativity defect on so(3)
+        code, out = run(capsys, "solve", order, "--projection", "linear",
+                        "--poisson", so3_file, "--format", "json")
+        assert code == EXIT_OK
+        evaluated = json.loads(out)["evaluated_defect"]
+        assert evaluated["nonzero_triples"] == count
+        assert (evaluated["sample"] is None) == (count == 0)
+
     def test_negative_control(self, capsys):
         # the wrong sigma normalization must break the Moyal identity
         code = main(["solve", "4", "--projection", "constant",

@@ -1,13 +1,13 @@
 """Exact boundary matrices and low-degree cohomology dimensions."""
+import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
 from graphdgla.homology import (
     BoundaryMatrix,
-    _integer_rows,
-    _rank_bareiss,
     boundary_matrix,
     boundary_merge_check,
     cohomology_dims,
@@ -20,7 +20,8 @@ from graphdgla.homology import (
 from graphdgla.algebra import vec
 from graphdgla.graphs import b0, b1, enumerate_classes
 
-# exact dimensions computed once by the fraction-free elimination and frozen;
+# exact dimensions computed once and frozen; the n <= 3 rows were first
+# computed by dense fraction-free elimination, the n = 4 rows by the sparse rank
 # (n, m) -> (number of classes, dim Z, dim B, dim H)
 GROUND_TRUTH = {
     (0, 1): (1, 0, 0, 0),
@@ -35,7 +36,63 @@ GROUND_TRUTH = {
     (3, 1): (4, 1, 0, 1),
     (3, 2): (38, 7, 3, 4),
     (3, 3): (180, 35, 31, 4),
+    (4, 1): (60, 12, 0, 12),
+    (4, 2): (445, 70, 48, 22),
+    (4, 3): (2250, 405, 375, 30),
 }
+
+# every (n, m) whose boundary matrix rank is checked against the dense oracle
+ORACLE_SHAPES = [(n, m) for n in range(4) for m in range(1, 4)] + [
+    (0, 4),
+    (1, 4),
+    (2, 4),
+    (4, 1),
+]
+
+
+# -- dense fraction-free elimination: the reference oracle for ``rank`` -----
+
+
+def dense_rows(matrix: BoundaryMatrix) -> list[list[Fraction]]:
+    rows = [[Fraction(0)] * len(matrix.source) for _ in matrix.target]
+    for col, entries in enumerate(matrix.columns):
+        for row, c in entries.items():
+            rows[row][col] = c
+    return rows
+
+
+def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
+    out = []
+    for row in rows:
+        scale = math.lcm(*(c.denominator for c in row)) if row else 1
+        out.append([int(c * scale) for c in row])
+    return out
+
+
+def _rank_bareiss(rows: list[list[int]]) -> int:
+    M = [row[:] for row in rows]
+    nr = len(M)
+    nc = len(M[0]) if M else 0
+    prev = 1
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        piv = next((i for i in range(r, nr) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        for i in range(r + 1, nr):
+            for j in range(c + 1, nc):
+                M[i][j] = (M[r][c] * M[i][j] - M[i][c] * M[r][j]) // prev
+            M[i][c] = 0
+        prev = M[r][c]
+        r += 1
+    return r
+
+
+def dense_rank(matrix: BoundaryMatrix) -> int:
+    return _rank_bareiss(_integer_rows(dense_rows(matrix)))
 
 
 class TestBoundaryMatrix:
@@ -58,32 +115,61 @@ class TestBoundaryMatrix:
 
 class TestRank:
     def test_known_small_matrix(self):
-        mat = BoundaryMatrix(
-            0,
-            0,
-            source=[None, None],
-            target=[None, None],
-            columns=[{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}],
-        )
-        assert rank(mat) == 1
+        # each case cancels a column entry; a kept zero would be read as a
+        # lead and the reduction would never end, so an alarm bounds the wait
+        def expire(signum, frame):
+            raise TimeoutError("rank did not finish")
+
+        cases = [
+            ([{0: 1, 1: 2}, {0: 2, 1: 4}], 1),
+            ([{0: 1, 1: 2, 2: 1}, {0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 2}], 2),
+        ]
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            for columns, expected in cases:
+                mat = BoundaryMatrix(
+                    0,
+                    0,
+                    source=[None] * len(columns),
+                    target=[None] * len(columns[0]),
+                    columns=[{r: Fraction(c) for r, c in col.items()} for col in columns],
+                )
+                assert rank(mat) == expected
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
+    def test_matches_dense_oracle(self, n, m):
+        mat = boundary_matrix(n, m)
+        assert rank(mat) == dense_rank(mat)
 
     def test_basis_order_independence(self):
-        mat = boundary_matrix(2, 2)
-        rows = _integer_rows(mat.dense_rows())
-        base = _rank_bareiss(rows)
         rng = random.Random(7)
-        for _ in range(5):
-            shuffled = [row[:] for row in rows]
-            rng.shuffle(shuffled)
-            cols = list(range(len(rows[0])))
-            rng.shuffle(cols)
-            permuted = [[row[c] for c in cols] for row in shuffled]
-            assert _rank_bareiss(permuted) == base
+        for n, m in [(2, 3), (3, 2), (3, 3)]:
+            mat = boundary_matrix(n, m)
+            base = dense_rank(mat)
+            assert rank(mat) == base
+            for _ in range(5):
+                columns = list(mat.columns)
+                rng.shuffle(columns)
+                relabel = list(range(len(mat.target)))
+                rng.shuffle(relabel)
+                permuted = BoundaryMatrix(
+                    n,
+                    m,
+                    mat.source,
+                    mat.target,
+                    [{relabel[row]: c for row, c in col.items()} for col in columns],
+                )
+                assert rank(permuted) == base
 
 
 class TestCohomology:
     def test_frozen_table(self):
-        got = dimension_table(3, 3)
+        got = dimension_table(4, 3)
+        assert len(got) == len(GROUND_TRUTH)
         for row in got:
             key = (row["n"], row["m"])
             assert (
