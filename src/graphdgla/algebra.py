@@ -7,7 +7,6 @@ projections, the wedge-basis expansions and the antipodal map.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import re
 from collections import Counter
@@ -204,9 +203,6 @@ class GraphVector:
             (canonicalize(LabeledGraph.from_literal(e["graph"])), Fraction(e["coeff"]))
             for e in obj
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
     def __repr__(self):
         return "GraphVector(%s)" % self.to_literal()

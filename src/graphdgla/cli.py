@@ -77,6 +77,7 @@ def _emit_vector(v: GraphVector, fmt: str) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    _require("--cap", args.cap, 1)
     if args.max_in_degree is not None:
         _require("--max-in-degree", args.max_in_degree, 0)
     classes = enumerate_classes(args.n, args.m, args.max_in_degree, cap=args.cap)
@@ -188,6 +189,7 @@ def cmd_homology(args) -> int:
         raise _InputError(
             "need --n-max >= 0 and --m-max >= 1, got %d and %d" % (args.n_max, args.m_max)
         )
+    _require("--cap", args.cap, 1)
     rows = homology.dimension_table(args.n_max, args.m_max, cap=args.cap)
     keys = ("n", "m", "classes", "dim_Z", "dim_B", "dim_H")
     if args.format == "json":

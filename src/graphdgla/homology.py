@@ -1,8 +1,8 @@
 """Exact low-degree cohomology of the graph complex.
 
 The differential preserves the internal-vertex count n, so each (n, m)
-component gives a finite exact boundary matrix; ranks are computed by
-sparse exact elimination over Q on the matrix columns.
+component gives a finite exact boundary matrix, ranked by sparse exact
+elimination over Q; a table enumerates each G_{n,m} once.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from fractions import Fraction
 from .algebra import GraphVector, add_terms, differential, vec
 from .graphs import (
     DEFAULT_CAP,
+    GraphError,
     LabeledGraph,
     SignedGraphClass,
     enumerate_classes,
@@ -34,22 +35,24 @@ class BoundaryMatrix:
         return (len(self.target), len(self.source))
 
 
-def boundary_matrix(n: int, m: int, cap: int = DEFAULT_CAP) -> BoundaryMatrix:
-    source = [c.graph for c in enumerate_classes(n, m, cap=cap)]
-    target = [c.graph for c in enumerate_classes(n, m + 1, cap=cap)]
-    index = {g: i for i, g in enumerate(target)}
+def _matrix(n: int, m: int, source: list, target: list) -> BoundaryMatrix:
+    index = {c.graph: i for i, c in enumerate(target)}
     columns = []
-    for g in source:
-        image = differential(vec(SignedGraphClass(g, 1)))
+    for c in source:
         entries: dict[int, Fraction] = {}
-        for h, c in image:
+        for h, coeff in differential(vec(c)):
             if h not in index:
                 raise RuntimeError(
                     "differential image %s missing from target basis" % h.to_literal()
                 )
-            entries[index[h]] = c
+            entries[index[h]] = coeff
         columns.append(entries)
-    return BoundaryMatrix(n, m, source, target, columns)
+    return BoundaryMatrix(n, m, [c.graph for c in source], [c.graph for c in target], columns)
+
+
+def boundary_matrix(n: int, m: int, cap: int = DEFAULT_CAP) -> BoundaryMatrix:
+    source = enumerate_classes(n, m, cap=cap)
+    return _matrix(n, m, source, enumerate_classes(n, m + 1, cap=cap))
 
 
 def rank(matrix: BoundaryMatrix) -> int:
@@ -82,29 +85,31 @@ def composition_is_zero(outer: BoundaryMatrix, inner: BoundaryMatrix) -> bool:
     return True
 
 
+def _walk(n: int, m_max: int, cap: int) -> list[dict]:
+    """Rows (n, m) for m = 1..m_max: each G_{n,m} enumerated, each matrix ranked once."""
+    rows = []
+    b = 0  # rank of the differential into (n, m); G_{n,0} is empty
+    source = enumerate_classes(n, 1, cap=cap) if m_max >= 1 else []
+    for m in range(1, m_max + 1):
+        target = enumerate_classes(n, m + 1, cap=cap)
+        r = rank(_matrix(n, m, source, target))
+        z = len(source) - r
+        rows.append(dict(n=n, m=m, classes=len(source), dim_Z=z, dim_B=b, dim_H=z - b))
+        source, b = target, r
+    return rows
+
+
 def cohomology_dims(n: int, m: int, cap: int = DEFAULT_CAP) -> tuple[int, int, int]:
-    """(dim Z, dim B, dim H) of the (n, m) component."""
-    outgoing = boundary_matrix(n, m, cap=cap)
-    dim_z = len(outgoing.source) - rank(outgoing)
-    dim_b = rank(boundary_matrix(n, m - 1, cap=cap)) if m >= 2 else 0
-    return dim_z, dim_b, dim_z - dim_b
+    """(dim Z, dim B, dim H) of the (n, m) component: the last row of the walk to m."""
+    if m < 1:
+        raise GraphError("need m >= 1, got %d" % m)
+    row = _walk(n, m, cap)[-1]
+    return row["dim_Z"], row["dim_B"], row["dim_H"]
 
 
 def dimension_table(n_max: int, m_max: int, cap: int = DEFAULT_CAP) -> list[dict]:
-    """Rows (n, m, |G_{n,m}|, dim Z, dim B, dim H); each matrix is ranked once."""
-    rows = []
-    for n in range(n_max + 1):
-        b = 0  # rank of the differential into (n, m); G_{n,0} is empty
-        for m in range(1, m_max + 1):
-            outgoing = boundary_matrix(n, m, cap=cap)
-            size = len(outgoing.source)
-            r = rank(outgoing)
-            z = size - r
-            rows.append(
-                {"n": n, "m": m, "classes": size, "dim_Z": z, "dim_B": b, "dim_H": z - b}
-            )
-            b = r
-    return rows
+    """Rows (n, m, |G_{n,m}|, dim Z, dim B, dim H), column by column."""
+    return [row for n in range(n_max + 1) for row in _walk(n, m_max, cap)]
 
 
 def merged_differential(c: SignedGraphClass) -> GraphVector:

@@ -64,11 +64,6 @@ class StarSeries:
     sigma_normalization: str = "merger"
     reports: list[OrderReport] = field(default_factory=list)
 
-    def coefficient(self, n: int) -> GraphVector:
-        if not 0 <= n <= self.order:
-            raise ValueError("order %d outside truncation %d" % (n, self.order))
-        return self.coeffs[n]
-
 
 def initial_series(projection: str = "none", normalization: str = "merger") -> StarSeries:
     return StarSeries(1, [vec(b0()), vec(b1())], projection, normalization)

@@ -151,6 +151,8 @@ class TestSolve:
             ("solve", "1", "--corpus-degree", "-1"),
             ("enumerate", "1", "2", "--max-in-degree", "-1"),
             ("selftest", "--n", "-1"),
+            ("enumerate", "2", "2", "--cap", "0"),
+            ("homology", "--cap", "-7", "--n-max", "0", "--m-max", "2"),
         ],
     )
     def test_bad_order(self, capsys, argv):

@@ -18,7 +18,7 @@ from graphdgla.homology import (
     rank,
 )
 from graphdgla.algebra import vec
-from graphdgla.graphs import b0, b1, enumerate_classes
+from graphdgla.graphs import GraphError, b0, b1, enumerate_classes
 
 # exact dimensions computed once and frozen; the n <= 3 rows were first
 # computed by dense fraction-free elimination, the n = 4 rows by the sparse rank
@@ -178,6 +178,32 @@ class TestCohomology:
                 row["dim_B"],
                 row["dim_H"],
             ) == GROUND_TRUTH[key]
+
+    def test_each_component_enumerated_once(self, monkeypatch):
+        calls = []
+
+        def counting(n, m, *args, **kwargs):
+            calls.append((n, m))
+            return enumerate_classes(n, m, *args, **kwargs)
+
+        monkeypatch.setattr("graphdgla.homology.enumerate_classes", counting)
+        dimension_table(3, 3)
+        assert sorted(calls) == [(n, m) for n in range(4) for m in range(1, 5)]
+        calls.clear()
+        cohomology_dims(4, 1)
+        assert sorted(calls) == [(4, 1), (4, 2)]
+
+    def test_dims_match_table_rows(self):
+        rows = dimension_table(3, 3) + [r for r in dimension_table(4, 1) if r["n"] == 4]
+        table = {(r["n"], r["m"]): (r["dim_Z"], r["dim_B"], r["dim_H"]) for r in rows}
+        keys = [(n, m) for n, m in GROUND_TRUTH if n <= 3] + [(4, 1)]
+        for n, m in keys:
+            assert cohomology_dims(n, m) == table[(n, m)]
+
+    @pytest.mark.parametrize("n, m", [(2, 0), (-1, 2)])
+    def test_dims_reject_bad_component(self, n, m):
+        with pytest.raises(GraphError):
+            cohomology_dims(n, m)
 
     def test_b1_is_a_cocycle(self):
         z, b, h = cohomology_dims(1, 2)
