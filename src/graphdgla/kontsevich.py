@@ -2,11 +2,14 @@
 
 Each internal vertex carries a copy of the Poisson tensor; its L and R edges
 act as partial derivatives (first and second index respectively) on their
-targets.  All arithmetic is exact; the deformation parameter is a formal
-truncation index.
+targets.  A graph vector is compiled once per structure into an ``Operator``
+(derivative multi-indices per boundary slot, with coefficient polynomials),
+which is then applied to each tuple of functions.  All arithmetic is exact;
+the deformation parameter is a formal truncation index.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -267,8 +270,10 @@ class PoissonStructure:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PoissonStructure":
         try:
-            d = int(obj["d"])
+            d = obj["d"]
             kind = obj["kind"]
+            if type(d) is not int:  # a JSON integer; bool is a subclass of int
+                raise PoissonError('"d" must be an integer, got %s' % json.dumps(d))
             if d < 1:
                 raise PoissonError('"d" must be >= 1, got %d' % d)
             if kind == "constant":
@@ -281,11 +286,19 @@ class PoissonStructure:
                 )
             if kind == "linear":
                 tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
+                setter: dict[tuple, int] = {}  # (i, j, k) -> position that set it
                 for pos, entry in enumerate(obj["c"]):
                     i, j, k = (_index(entry, name, pos, d) for name in "ijk")
                     val = Fraction(str(entry["val"]))
-                    tensor[i][j][k] = val
-                    tensor[j][i][k] = -val
+                    for cell, value in (((i, j, k), val), ((j, i, k), -val)):
+                        first = setter.setdefault(cell, pos)
+                        a, b, c = cell
+                        if first != pos and tensor[a][b][c] != value:
+                            raise PoissonError(
+                                "entries c[%d] and c[%d] conflict: c^{%d%d}_%d = %s and %s"
+                                % (first, pos, a + 1, b + 1, c + 1, tensor[a][b][c], value)
+                            )
+                        tensor[a][b][c] = value
                 return cls.linear(tensor)
             raise PoissonError("unknown kind %r" % kind)
         except (KeyError, TypeError, ValueError) as exc:
@@ -323,35 +336,78 @@ class PoissonStructure:
 # -- graph evaluation ------------------------------------------------------
 
 
-def evaluate_graph(g: LabeledGraph, alpha: PoissonStructure, fs: Sequence[Poly]) -> Poly:
-    if len(fs) != g.m:
-        raise GraphError("need %d boundary functions, got %d" % (g.m, len(fs)))
+@dataclass(frozen=True)
+class Operator:
+    """A graph vector compiled for one Poisson structure.
+
+    The polydifferential operator ``fs -> sum coeff * prod_s d_{I_s} fs[s]``.
+    Each term pairs the sorted derivative multi-indices ``(I_1, ..., I_m)``,
+    one per boundary slot, with a nonzero coefficient polynomial: the graph
+    coefficients times the differentiated vertex tensors, summed over every
+    graph and edge assignment that lands on those multi-indices.
+    """
+
+    d: int
+    arities: frozenset  # the boundary arity m of every compiled graph
+    terms: tuple  # ((I_1, ..., I_m), Poly) pairs
+
+    def __call__(self, fs: Sequence[Poly]) -> Poly:
+        for m in sorted(self.arities):
+            if len(fs) != m:
+                raise GraphError("need %d boundary functions, got %d" % (m, len(fs)))
+        if self.arities:
+            for f in fs:
+                if f.d != self.d:
+                    raise ValueError(
+                        "polynomial dimension %d != Poisson dimension %d" % (f.d, self.d)
+                    )
+        # each slot is differentiated once per distinct multi-index
+        derived: list[dict[tuple, Poly]] = [{} for _ in fs]
+        acc: dict[tuple, Fraction] = {}
+        for key, term in self.terms:
+            for f, known, idx in zip(fs, derived, key):
+                factor = known.get(idx)
+                if factor is None:
+                    factor = known[idx] = f.multi_diff(idx)
+                if factor.is_zero:
+                    break
+                term = term * factor
+            else:
+                add_terms(acc, term._terms.items())
+        return Poly(self.d, acc)
+
+
+@functools.lru_cache(maxsize=256)
+def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
+    """The operator of ``x`` under Kontsevich's rule, walking each graph's
+    edge assignments once; cached per (vector, structure)."""
     d = alpha.d
-    for f in fs:
-        if f.d != d:
-            raise ValueError("polynomial dimension %d != Poisson dimension %d" % (f.d, d))
     pairs = alpha.nonzero_entries()
-    acc: dict[tuple, Fraction] = {}
-    m, n = g.m, g.n
-    for assign in itertools.product(pairs, repeat=n):
-        derivs: list[list[int]] = [[] for _ in range(m + n)]
-        for k, (i, j, _) in enumerate(assign):
-            a, b = g.targets[k]
-            derivs[a].append(i + 1)
-            derivs[b].append(j + 1)
-        # the vertex tensors first, then the boundary functions
-        factors = itertools.chain(
-            (p.multi_diff(derivs[m + k]) for k, (_, _, p) in enumerate(assign)),
-            (fs[s].multi_diff(derivs[s]) for s in range(m)),
-        )
-        term = Poly.const(d, 1)
-        for factor in factors:
-            if factor.is_zero:
-                break
-            term = term * factor
-        else:
-            add_terms(acc, term._terms.items())
-    return Poly(d, acc)
+    acc: dict[tuple, dict[tuple, Fraction]] = {}
+    for g, c in x.terms():
+        m, n = g.m, g.n
+        for assign in itertools.product(pairs, repeat=n):
+            derivs: list[list[int]] = [[] for _ in range(m + n)]
+            for k, (i, j, _) in enumerate(assign):
+                a, b = g.targets[k]
+                derivs[a].append(i + 1)
+                derivs[b].append(j + 1)
+            coeff = Poly.const(d, c)
+            for k, (_, _, p) in enumerate(assign):
+                factor = p.multi_diff(derivs[m + k])
+                if factor.is_zero:
+                    break
+                coeff = coeff * factor
+            else:
+                key = tuple(tuple(sorted(derivs[s])) for s in range(m))
+                add_terms(acc.setdefault(key, {}), coeff._terms.items())
+    terms = ((key, Poly(d, coeff)) for key, coeff in acc.items())
+    return Operator(d, frozenset(g.m for g, _ in x.terms()), tuple(t for t in terms if t[1]))
+
+
+def evaluate_graph(g: LabeledGraph, alpha: PoissonStructure, fs: Sequence[Poly]) -> Poly:
+    """One labeled graph, as drawn (not canonicalized), on ``fs``."""
+    return compile_vector(GraphVector({g: Fraction(1)}), alpha)(fs)
 
 
 def evaluate(
@@ -361,14 +417,8 @@ def evaluate(
 ) -> Poly:
     """Kontsevich-rule evaluation, extended linearly and by sign."""
     if isinstance(x, SignedGraphClass):
-        if x.is_zero:
-            return Poly.zero(alpha.d)
-        return evaluate_graph(x.graph, alpha, fs) * x.sign
-    acc: dict[tuple, Fraction] = {}
-    for g, c in x:
-        value = evaluate_graph(g, alpha, fs)
-        add_terms(acc, ((e, a * c) for e, a in value._terms.items()))
-    return Poly(alpha.d, acc)
+        x = GraphVector.from_class(x)
+    return compile_vector(x, alpha)(fs)
 
 
 # -- star products and defects --------------------------------------------

@@ -201,6 +201,32 @@ class TestEvaluate:
         capsys.readouterr()
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "obj, detail",
+        [
+            ({"d": 3, "kind": "linear", "c": [
+                {"i": 1, "j": 2, "k": 3, "val": 1},
+                {"i": 2, "j": 1, "k": 3, "val": 1},
+            ]}, "entries c[0] and c[1] conflict"),
+            ({"d": 3, "kind": "linear", "c": [
+                {"i": 1, "j": 2, "k": 3, "val": 1},
+                {"i": 1, "j": 2, "k": 3, "val": 2},
+            ]}, "entries c[0] and c[1] conflict"),
+            ({"d": 2.7, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]},
+             '"d" must be an integer'),
+            ({"d": True, "kind": "constant", "alpha": [["0"]]}, '"d" must be an integer'),
+        ],
+    )
+    def test_contradictory_poisson_file(self, capsys, tmp_path, obj, detail):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        code = main(["evaluate", "1 * G{m=2; v1=(b1,b2)}",
+                     "--poisson", str(bad), "--functions", "x1;x2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("error: bad Poisson file %s: " % bad)
+        assert detail in captured.err and captured.err.count("\n") == 1
+
 
 class TestHomology:
     def test_csv_table(self, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from graphdgla import mc
 from graphdgla.algebra import GraphVector, project_constant, vec
-from graphdgla.graphs import b1, c2, enumerate_classes, t2L, t2R
+from graphdgla.graphs import GraphError, b1, c2, enumerate_classes, t2L, t2R
 from graphdgla.kontsevich import (
     PoissonError,
     PoissonStructure,
@@ -21,6 +21,26 @@ from graphdgla.kontsevich import (
     star,
     star_series,
 )
+
+
+# a constant 4 x 4 matrix of rank 4 (Pfaffian a12 a34 = 1/2); three entries
+# above the diagonal keep the oracle's pairs^n loop affordable at n = 3
+RANK4 = PoissonStructure.constant([
+    [0, 1, 3, 0],
+    [-1, 0, 0, 0],
+    [-3, 0, 0, Fraction(1, 2)],
+    [0, 0, Fraction(-1, 2), 0],
+])
+
+
+def _heisenberg():
+    """The nilpotent linear structure {x1, x2} = x3."""
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][2], c[1][0][2] = 1, -1
+    return PoissonStructure.linear(c)
+
+
+HEISENBERG = _heisenberg()
 
 
 def moyal_term(alpha, u, v, n):
@@ -105,6 +125,15 @@ class TestPoissonStructure:
         alpha = PoissonStructure.from_json_obj(obj)
         assert alpha.entry(0, 1) == PoissonStructure.so3().entry(0, 1)
 
+    def test_json_accepts_consistent_repeats(self):
+        # an entry may be repeated, or given again as its negated mirror
+        obj = {"d": 3, "kind": "linear", "c": [
+            {"i": 1, "j": 2, "k": 3, "val": "1"},
+            {"i": 2, "j": 1, "k": 3, "val": "-1"},
+            {"i": 1, "j": 2, "k": 3, "val": 1},
+        ]}
+        assert PoissonStructure.from_json_obj(obj) == HEISENBERG
+
     def test_json_constant(self):
         alpha = PoissonStructure.from_json_obj(
             {"d": 2, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]}
@@ -128,6 +157,33 @@ class TestPoissonStructure:
             (
                 {"d": 5, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]},
                 '"alpha" has 2 rows but "d" is 5',
+            ),
+            (  # the mirror (j, i, k) set with the same sign, not the opposite
+                {"d": 3, "kind": "linear", "c": [
+                    {"i": 1, "j": 2, "k": 3, "val": 1},
+                    {"i": 2, "j": 1, "k": 3, "val": 1},
+                ]},
+                "entries c[0] and c[1] conflict: c^{21}_3 = -1 and 1",
+            ),
+            (
+                {"d": 3, "kind": "linear", "c": [
+                    {"i": 1, "j": 2, "k": 3, "val": "1"},
+                    {"i": 3, "j": 1, "k": 2, "val": "1"},
+                    {"i": 1, "j": 2, "k": 3, "val": "2"},
+                ]},
+                "entries c[0] and c[2] conflict: c^{12}_3 = 1 and 2",
+            ),
+            (
+                {"d": 2.7, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]},
+                '"d" must be an integer, got 2.7',
+            ),
+            (
+                {"d": True, "kind": "constant", "alpha": [["0"]]},
+                '"d" must be an integer, got true',
+            ),
+            (
+                {"d": "2", "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]},
+                '"d" must be an integer, got "2"',
             ),
         ],
     )
@@ -187,13 +243,17 @@ class TestEvaluate:
 
 class TestMoyalOracle:
     def test_solved_series_matches_direct_formula(self):
-        alpha = PoissonStructure.constant([[0, Fraction(1)], [-1, 0]])
         series = mc.solve(4, "constant")
-        u = Poly.parse("x1^3*x2", 2)
-        v = Poly.parse("x1*x2^2", 2)
-        for n in range(1, 5):
-            got = evaluate(series.coeffs[n], alpha, [u, v])
-            assert got == moyal_term(alpha, u, v, n)
+        cases = [
+            (PoissonStructure.constant([[0, Fraction(1)], [-1, 0]]),
+             Poly.parse("x1^3*x2", 2), Poly.parse("x1*x2^2", 2)),
+            (RANK4, Poly.parse("x1^2*x2*x3 - 2*x4^3 + x1*x4", 4),
+             Poly.parse("x2^2*x3*x4 + 3*x1^2*x3^2", 4)),
+        ]
+        for alpha, u, v in cases:
+            for n in range(5):
+                got = evaluate(series.coeffs[n], alpha, [u, v])
+                assert got == moyal_term(alpha, u, v, n)
 
 
 class TestStar:
@@ -331,7 +391,9 @@ def random_poly(rng, d, degree, size):
 
 STRUCTURES = {
     "symplectic": PoissonStructure.standard_symplectic(2),
+    "rank4": RANK4,
     "so3": PoissonStructure.so3(),
+    "heisenberg": HEISENBERG,
 }
 
 
@@ -394,3 +456,57 @@ class TestAccumulationOracle:
                 for k in range(3):
                     want = want + Poly.variable(3, k + 1) * alpha.data[i][j][k]
                 assert alpha.entry(i, j) == want
+
+
+class TestCompiledOperator:
+    """Compiled evaluation against the per-assignment fold-with-+ oracle."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_class_matches_oracle(self, name, m):
+        alpha = STRUCTURES[name]
+        rng = random.Random("%s-%d" % (name, m))
+        for n in range(4):
+            fs = [random_poly(rng, alpha.d, 3, 3) for _ in range(m)]
+            for c in enumerate_classes(n, m):
+                want = ref_evaluate_graph(c.graph, alpha, fs) * c.sign
+                assert evaluate(c, alpha, fs) == want, (n, c.graph)
+
+    def test_vector_merges_graphs(self):
+        # graphs whose operators share multi-indices, summed with coefficients
+        alpha = PoissonStructure.so3()
+        x = mc.solve(3, "linear").coeffs[3]
+        fs = [random_poly(random.Random(5), 3, 3, 4) for _ in range(2)]
+        assert evaluate(x, alpha, fs) == ref_evaluate(x, alpha, fs)
+
+    def test_arity_checked_with_cached_operator(self):
+        alpha = PoissonStructure.so3()
+        x1 = Poly.variable(3, 1)
+        evaluate(b1(), alpha, [x1, x1])
+        with pytest.raises(GraphError):
+            evaluate(b1(), alpha, [x1])
+        with pytest.raises(ValueError):
+            evaluate(b1(), alpha, [Poly.variable(2, 1)] * 2)
+
+
+class TestDefectIdentity:
+    """associativity_defect(...)[n] is half the evaluated formal defect."""
+
+    @pytest.mark.parametrize(
+        "projection, name",
+        [("linear", "so3"), ("constant", "symplectic"), ("linear", "heisenberg")],
+    )
+    def test_half_identity(self, projection, name):
+        alpha = STRUCTURES[name]
+        series = mc.solve(3, projection)
+        defects = [mc.defect(series, n) for n in range(4)]
+        rng = random.Random(name)
+        nonzero = 0
+        for _ in range(20):
+            u, v, w = (random_poly(rng, alpha.d, 3, 3) for _ in range(3))
+            got = associativity_defect(series, alpha, u, v, w)
+            for n in range(4):
+                assert got[n] == evaluate(defects[n], alpha, [u, v, w]) * Fraction(1, 2)
+                nonzero += bool(got[n])
+        if name == "so3":  # the identity is not checked on zeros alone
+            assert nonzero
