@@ -189,7 +189,10 @@ class GraphVector:
         match = cls._TERM_RE.match(body)
         if match is None:
             raise GraphError("malformed vector term: %r" % body)
-        coeff = Fraction(match.group(1)) if match.group(1) else Fraction(1)
+        try:
+            coeff = Fraction(match.group(1) or 1)
+        except ZeroDivisionError:
+            raise GraphError("zero denominator in term %r" % body.strip()) from None
         return canonicalize(LabeledGraph.from_literal(match.group(2))), sgn * coeff
 
     def to_json_obj(self) -> list[dict]:

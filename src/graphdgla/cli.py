@@ -229,8 +229,8 @@ def cmd_selftest(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_common(p, fmt_default="text"):
-    p.add_argument("--format", choices=("text", "json", "csv"), default=fmt_default)
+def _add_common(p, formats=("text", "json")):
+    p.add_argument("--format", choices=formats, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,14 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vector", help="graph-vector literal")
     p.add_argument("--poisson", required=True)
     p.add_argument("--functions", required=True, help="semicolon-separated polynomials")
-    _add_common(p)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("homology", help="cohomology dimension table")
     p.add_argument("--n-max", type=int, default=2)
     p.add_argument("--m-max", type=int, default=2)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_common(p)
+    _add_common(p, ("text", "json", "csv"))
     p.set_defaults(fn=cmd_homology)
 
     p = sub.add_parser("selftest", help="run the invariant suite")

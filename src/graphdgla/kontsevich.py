@@ -172,7 +172,10 @@ class Poly:
             if fm is None:
                 raise ValueError("malformed factor %r" % factor)
             if fm.group(1) is not None:
-                coeff *= Fraction(fm.group(1))
+                try:
+                    coeff *= Fraction(fm.group(1))
+                except ZeroDivisionError:
+                    raise ValueError("zero denominator in factor %r" % factor) from None
             else:
                 i = int(fm.group(2))
                 if not 1 <= i <= d:
@@ -186,12 +189,27 @@ class Poly:
 
 def _index(entry: dict, name: str, pos: int, d: int) -> int:
     """The 1-based index field ``name`` of linear entry ``c[pos]``, 0-based."""
-    value = int(entry[name])
+    value = entry[name]
+    if type(value) is not int:  # a JSON integer; bool is a subclass of int
+        raise PoissonError(
+            'entry c[%d]: index "%s" must be an integer, got %s'
+            % (pos, name, json.dumps(value))
+        )
     if not 1 <= value <= d:
         raise PoissonError(
             'entry c[%d]: index "%s" = %d outside 1..%d' % (pos, name, value, d)
         )
     return value - 1
+
+
+def _rational(value, where: str) -> Fraction:
+    """A JSON number or numeric string as a Fraction; ``where`` names the field."""
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise PoissonError(
+            "%s = %s has a zero denominator" % (where, json.dumps(value))
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -281,15 +299,19 @@ class PoissonStructure:
                     raise PoissonError(
                         '"alpha" has %d rows but "d" is %d' % (len(obj["alpha"]), d)
                     )
+                where = '"alpha"[%d][%d]'
                 return cls.constant(
-                    [[Fraction(str(x)) for x in row] for row in obj["alpha"]]
+                    [
+                        [_rational(x, where % (r, c)) for c, x in enumerate(row)]
+                        for r, row in enumerate(obj["alpha"])
+                    ]
                 )
             if kind == "linear":
                 tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
                 setter: dict[tuple, int] = {}  # (i, j, k) -> position that set it
                 for pos, entry in enumerate(obj["c"]):
                     i, j, k = (_index(entry, name, pos, d) for name in "ijk")
-                    val = Fraction(str(entry["val"]))
+                    val = _rational(entry["val"], 'entry c[%d]: "val"' % pos)
                     for cell, value in (((i, j, k), val), ((j, i, k), -val)):
                         first = setter.setdefault(cell, pos)
                         a, b, c = cell

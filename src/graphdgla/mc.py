@@ -21,17 +21,17 @@ from .algebra import (
 )
 from .graphs import b0, b1
 
-PROJECTIONS = ("none", "constant", "linear")
+PROJECTIONS = {
+    "none": lambda v: v,
+    "constant": project_constant,
+    "linear": project_linear,
+}
 
 
 def apply_projection(v: GraphVector, projection: str) -> GraphVector:
-    if projection == "none":
-        return v
-    if projection == "constant":
-        return project_constant(v)
-    if projection == "linear":
-        return project_linear(v)
-    raise ValueError("unknown projection %r" % projection)
+    if projection not in PROJECTIONS:
+        raise ValueError("unknown projection %r" % projection)
+    return PROJECTIONS[projection](v)
 
 
 @dataclass
@@ -40,7 +40,7 @@ class OrderReport:
 
     n: int
     m_n: GraphVector
-    residual: GraphVector  # P(d m_n - D_n), reported, not asserted
+    residual: GraphVector  # d m_n - P(D_n), reported, not asserted
     lemma1_identity: bool
     defect_terms: int
 
@@ -104,19 +104,26 @@ def defect(series: StarSeries, n: int) -> GraphVector:
 def lemma1_identity(series: StarSeries, n: int) -> bool:
     """Formal identity defect_n = 2 (d m_n - D_n), with no projection.
 
-    A real check, not a tautology: both sides share -2 D_n, so it compares
-    the defect's edge terms [m_0, m_n] + [m_n, m_0], formed by ``bracket``,
-    against 2 d m_n from an independent ``differential(m_n)`` call.
+    With m_0 = b0, [m_0, m_n] is d m_n, so both sides share d m_n - 2 D_n,
+    which cancels exactly.  What remains is a real check: [m_n, m_0] from
+    ``bracket`` against an independent ``differential(m_n)``; at n = 0,
+    [m_0, m_0] = 2 [m_0, m_0], i.e. [m_0, m_0] = 0.  P plays no part.
     """
-    lhs = defect(series, n)
-    rhs = (differential(series.coeffs[n]) - d_term(series, n)).scale(2)
-    return lhs == rhs
+    if n < 0:
+        raise ValueError("lemma 1 defined for n >= 0")
+    m = series.coeffs
+    if n == 0:
+        return bracket(m[0], m[0]).is_zero
+    return bracket(m[n], m[0]) == differential(m[n])
 
 
 def cocycle_check(series: StarSeries, n: int) -> GraphVector:
-    """P(d D_{n+1}); expected zero when lower orders close, returned as-is."""
-    d_next = d_term(series, n + 1)
-    return apply_projection(differential(d_next), series.projection)
+    """P(d D_{n+1}); expected zero when lower orders close, returned as-is.
+
+    P is applied to D_{n+1} first: it commutes with d (see ``solve``), so d
+    runs only on the terms that P keeps.
+    """
+    return differential(apply_projection(d_term(series, n + 1), series.projection))
 
 
 def solve(
@@ -126,14 +133,15 @@ def solve(
 ) -> StarSeries:
     """Iterate m_n = P(sigma(D_n)) for 2 <= n <= N from m_0 = b0, m_1 = b1.
 
-    Each order forms every bracket once: D_n forms [m_j, m_{n-j}] for
-    j <= n/2, then d m_n = [b0, m_n] and the edge term [m_n, m_0] are formed
-    once each.  The defect defect_n = d m_n + [m_n, m_0] - 2 D_n, its
-    reported term count, the residual and lemma 1 all reuse them.  Lemma 1
-    stays a real check: it holds exactly when [m_n, m_0] equals the
-    independently formed d m_n, as ``lemma1_identity`` states.
+    Each order forms each bracket of D_n once and projects only D_n.  P
+    keeps or drops a graph by its internal in-degrees, which sigma (a
+    boundary merge), d = [b0, .] and [., m_0] (grafts of b0, which has no
+    internal vertex) all preserve.  So m_n = sigma(P(D_n)), and every vector
+    formed from it is already projected.  The projected defect
+    d m_n + [m_n, m_0] - 2 P(D_n) is ([m_n, m_0] - d m_n) + 2 residual,
+    with residual = d m_n - P(D_n); lemma 1 holds iff [m_n, m_0] = d m_n.
 
-    Raises SigmaDomainError if a term of some D_n has fewer than two
+    Raises SigmaDomainError if a term of some P(D_n) has fewer than two
     internal vertices, where sigma is undefined.
     """
     if N < 1:
@@ -141,33 +149,24 @@ def solve(
     if projection not in PROJECTIONS:
         raise ValueError("unknown projection %r" % projection)
     series = initial_series(projection, sigma_normalization)
+    m0 = series.coeffs[0]
     for n in range(2, N + 1):
-        dn = d_term(series, n)
-        mn = apply_projection(sigma(dn, sigma_normalization), projection)
+        dn = apply_projection(d_term(series, n), projection)
+        mn = sigma(dn, sigma_normalization)
         series.coeffs.append(mn)
         series.order = n
         dmn = differential(mn)
-        defect_n = dmn + bracket(mn, series.coeffs[0]) - dn.scale(2)
-        series.reports.append(
-            OrderReport(
-                n=n,
-                m_n=mn,
-                residual=apply_projection(dmn - dn, projection),
-                lemma1_identity=defect_n == (dmn - dn).scale(2),
-                defect_terms=len(apply_projection(defect_n, projection)),
-            )
-        )
+        edge = bracket(mn, m0) - dmn  # zero exactly when lemma 1 holds
+        residual = dmn - dn
+        defect_terms = len(edge + residual.scale(2))
+        series.reports.append(OrderReport(n, mn, residual, edge.is_zero, defect_terms))
     return series
 
 
 def contraction_residual(series: StarSeries, n: int) -> GraphVector:
     """d sigma D_n + sigma d D_n - D_n on the realized cocycle D_n."""
-    dn = d_term(series, n)
-    norm = series.sigma_normalization
-    ddn = differential(dn)
-    part1 = differential(sigma(dn, norm))
-    part2 = sigma(ddn, norm) if ddn else GraphVector()
-    return part1 + part2 - dn
+    dn, norm = d_term(series, n), series.sigma_normalization
+    return differential(sigma(dn, norm)) + sigma(differential(dn), norm) - dn
 
 
 def hat_iteration(
@@ -175,11 +174,11 @@ def hat_iteration(
     projection: str = "none",
     sigma_normalization: str = "merger",
 ) -> GraphVector:
-    """The initiator tower t^{k-1}(b1) with t(v) = P(sigma([b1, v]))."""
+    """The initiator tower t^{k-1}(b1), t(v) = P(sigma([b1, v])) = sigma(P([b1, v]))."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    b1v = vec(b1())
-    v = b1v
+    v = b1v = vec(b1())
     for _ in range(k - 1):
-        v = apply_projection(sigma(bracket(b1v, v), sigma_normalization), projection)
+        grafts = apply_projection(bracket(b1v, v), projection)
+        v = sigma(grafts, sigma_normalization)
     return v

@@ -215,6 +215,8 @@ class TestEvaluate:
             ({"d": 2.7, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]},
              '"d" must be an integer'),
             ({"d": True, "kind": "constant", "alpha": [["0"]]}, '"d" must be an integer'),
+            ({"d": 3, "kind": "linear", "c": [{"i": 2.9, "j": True, "k": "3", "val": 1}]},
+             'entry c[0]: index "i" must be an integer, got 2.9'),
         ],
     )
     def test_contradictory_poisson_file(self, capsys, tmp_path, obj, detail):
@@ -226,6 +228,56 @@ class TestEvaluate:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("error: bad Poisson file %s: " % bad)
         assert detail in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, poisson",
+    [
+        (("sigma", "1/0 * G{m=3; v1=(b1,b3); v2=(b2,b3)}"), None),
+        (("compose", "1/0 * G{m=2; v1=(b1,b2)}", "G{m=2;}"), None),
+        (("--functions", "1/0*x1;x2"), SYMPLECTIC_JSON),
+        (("--functions", "x1;x2"),
+         {"d": 2, "kind": "constant", "alpha": [["0", "1"], ["-1/0", "0"]]}),
+        (("--functions", "x1;x2"),
+         {"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": "1/0"}]}),
+    ],
+)
+def test_zero_denominator(capsys, tmp_path, argv, poisson):
+    if poisson is not None:  # evaluate b1 with this structure
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(poisson))
+        argv = ("evaluate", "G{m=2; v1=(b1,b2)}", "--poisson", str(path), *argv)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "zero denominator" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "1", "2", "--format", "csv"),
+        ("compose", "G{m=2;}", "G{m=2;}", "--format", "csv"),
+        ("bracket", "G{m=2;}", "G{m=2;}", "--format", "csv"),
+        ("sigma", "G{m=3; v1=(b1,b3); v2=(b2,b3)}", "--format", "csv"),
+        ("solve", "2", "--format", "csv"),
+        ("defect", "2", "--format", "csv"),
+        ("selftest", "--only", "delta-sum", "--format", "csv"),
+        *(
+            ("evaluate", "G{m=2;}", "--poisson", "p.json", "--functions", "x1;x2",
+             "--format", fmt)
+            for fmt in ("text", "json", "csv")
+        ),
+    ],
+)
+def test_format_offers_only_what_is_printed(capsys, argv):
+    # only homology writes CSV, and evaluate prints one polynomial
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == EXIT_INPUT and captured.out == ""
+    assert "--format" in captured.err
 
 
 class TestHomology:

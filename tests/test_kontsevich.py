@@ -185,6 +185,29 @@ class TestPoissonStructure:
                 {"d": "2", "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]},
                 '"d" must be an integer, got "2"',
             ),
+            (
+                {"d": 3, "kind": "linear", "c": [{"i": 2.9, "j": 1, "k": 3, "val": 1}]},
+                'entry c[0]: index "i" must be an integer, got 2.9',
+            ),
+            (
+                {"d": 3, "kind": "linear", "c": [{"i": 2, "j": True, "k": 3, "val": 1}]},
+                'entry c[0]: index "j" must be an integer, got true',
+            ),
+            (
+                {"d": 3, "kind": "linear", "c": [
+                    {"i": 1, "j": 2, "k": 3, "val": 1},
+                    {"i": 2, "j": 3, "k": "1", "val": 1},
+                ]},
+                'entry c[1]: index "k" must be an integer, got "1"',
+            ),
+            (
+                {"d": 2, "kind": "constant", "alpha": [["0", "1/0"], ["-1", "0"]]},
+                '"alpha"[0][1] = "1/0" has a zero denominator',
+            ),
+            (
+                {"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": "2/0"}]},
+                'entry c[0]: "val" = "2/0" has a zero denominator',
+            ),
         ],
     )
     def test_json_rejects_inconsistent_entries(self, obj, message):

@@ -10,12 +10,13 @@ from graphdgla.algebra import (
     SigmaDomainError,
     antipode,
     bracket,
+    differential,
     expand_wedge_basis,
     project_constant,
     sigma,
     vec,
 )
-from graphdgla.graphs import b1_power, c2L, c2R, t2L, t2R
+from graphdgla.graphs import b1_power, c2L, c2R, enumerate_classes, t2L, t2R
 
 
 class TestDTerm:
@@ -107,6 +108,31 @@ class TestLemma1Identity:
             series = mc.solve(4, projection)
             for n in range(5):
                 assert mc.lemma1_identity(series, n)
+
+
+class TestProjectionCommutes:
+    """solve projects only D_n, which is sound because P keeps or drops a
+    graph by its internal in-degrees and neither sigma nor d changes them."""
+
+    @pytest.mark.parametrize("projection", ("constant", "linear"))
+    def test_sigma(self, projection):
+        for n in (2, 3):
+            for m in (2, 3, 4):
+                for c in enumerate_classes(n, m):
+                    x = GraphVector.from_class(c)
+                    assert mc.apply_projection(sigma(x), projection) == sigma(
+                        mc.apply_projection(x, projection)
+                    )
+
+    @pytest.mark.parametrize("projection", ("constant", "linear"))
+    def test_differential(self, projection):
+        for n in range(4):
+            for m in (1, 2, 3):
+                for c in enumerate_classes(n, m):
+                    x = GraphVector.from_class(c)
+                    assert mc.apply_projection(differential(x), projection) == (
+                        differential(mc.apply_projection(x, projection))
+                    )
 
 
 class TestBracketTable:
