@@ -11,7 +11,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import (
     GraphError,
@@ -251,8 +251,16 @@ def _reattachments(f: LabeledGraph, i: int, g: LabeledGraph) -> Iterator[Labeled
         yield LabeledGraph(new_m, tuple((a, b) for a, b in filled) + g_part)
 
 
-def insert(f: GraphVector, i: int, g: GraphVector) -> GraphVector:
-    """The operation f o_i g, extended bilinearly."""
+Keep = Optional[Callable[[LabeledGraph], bool]]
+
+
+def insert(f: GraphVector, i: int, g: GraphVector, keep: Keep = None) -> GraphVector:
+    """The operation f o_i g, extended bilinearly.
+
+    ``keep``, if given, is tested on each raw graft before ``canonicalize``
+    and the grafts it rejects are dropped.  It must not depend on the
+    labelling; a projection's ``keeps_*`` test gives P(f o_i g).
+    """
 
     def grafts():
         for gf, cf in f:
@@ -263,13 +271,17 @@ def insert(f: GraphVector, i: int, g: GraphVector) -> GraphVector:
             for gg, cg in g.terms():
                 coeff = cf * cg
                 for raw in _reattachments(gf, i, gg):
-                    yield canonicalize(raw), coeff
+                    if keep is None or keep(raw):
+                        yield canonicalize(raw), coeff
 
     return GraphVector.combine(grafts())
 
 
-def compose(f: GraphVector, g: GraphVector) -> GraphVector:
-    """Pre-Lie product: sum of insertions with the Gerstenhaber sign."""
+def compose(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
+    """Pre-Lie product: sum of insertions with the Gerstenhaber sign.
+
+    ``keep`` filters the raw grafts as in ``insert``.
+    """
     if f.is_zero or g.is_zero:
         return GraphVector()
     deg_g = g.lie_degree()
@@ -279,23 +291,33 @@ def compose(f: GraphVector, g: GraphVector) -> GraphVector:
     for gf, cf in f.terms():
         fv = GraphVector({gf: cf})
         for i in range(1, gf.m + 1):
-            term = insert(fv, i, g).terms()
+            term = insert(fv, i, g, keep).terms()
             if ((i - 1) * deg_g) % 2:
                 term = ((h, -c) for h, c in term)
             add_terms(acc, term)
     return GraphVector(acc)
 
 
-def bracket(f: GraphVector, g: GraphVector) -> GraphVector:
-    """Graded Lie bracket [f, g] = f o g - (-1)^{|f||g|} g o f."""
+def graded_commutator(fg: GraphVector, gf: GraphVector, df: int, dg: int) -> GraphVector:
+    """f o g - (-1)^{df dg} g o f from the two compositions fg and gf.
+
+    The one sign rule of the bracket; ``mc.solve`` uses it to form both
+    d m_n and [m_n, m_0] from the same two compositions with b0.
+    """
+    return fg - gf if (df * dg) % 2 == 0 else fg + gf
+
+
+def bracket(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
+    """Graded Lie bracket [f, g] = f o g - (-1)^{|f||g|} g o f.
+
+    ``keep`` filters the raw grafts as in ``insert``.
+    """
     if f.is_zero or g.is_zero:
         return GraphVector()
     df, dg = f.lie_degree(), g.lie_degree()
     if df is None or dg is None:
         raise GraphError("bracket requires m-homogeneous arguments")
-    fg = compose(f, g)
-    gf = compose(g, f)
-    return fg - gf if (df * dg) % 2 == 0 else fg + gf
+    return graded_commutator(compose(f, g, keep), compose(g, f, keep), df, dg)
 
 
 _B0_VEC = vec(b0())
@@ -346,22 +368,29 @@ def sigma(f: GraphVector, normalization: str = "merger") -> GraphVector:
 # -- Poisson-kernel projections -------------------------------------------
 
 
+def keeps_constant(g: LabeledGraph) -> bool:
+    """The constant projection's test: no edge lands on an internal vertex."""
+    return not g.has_internal_landing()
+
+
+def keeps_linear(g: LabeledGraph) -> bool:
+    """The linear projection's test: every internal in-degree is <= 1."""
+    return all(d <= 1 for d in g.internal_in_degrees())
+
+
+def project(f: GraphVector, keep: Callable[[LabeledGraph], bool]) -> GraphVector:
+    """The terms of ``f`` whose graph passes ``keep``."""
+    return GraphVector({g: c for g, c in f.terms() if keep(g)})
+
+
 def project_constant(f: GraphVector) -> GraphVector:
     """Kill every term with an edge landing on an internal vertex."""
-    return GraphVector(
-        {g: c for g, c in f.terms() if not g.has_internal_landing()}
-    )
+    return project(f, keeps_constant)
 
 
 def project_linear(f: GraphVector) -> GraphVector:
     """Kill every term with an internal vertex of in-degree >= 2."""
-    return GraphVector(
-        {
-            g: c
-            for g, c in f.terms()
-            if all(d <= 1 for d in g.internal_in_degrees())
-        }
-    )
+    return project(f, keeps_linear)
 
 
 # -- wedge bases -----------------------------------------------------------

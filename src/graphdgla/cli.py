@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, compose, bracket, sigma, solve, defect, evaluate,
 homology, selftest.  Exit codes: 0 success, 1 identity-check failure,
-2 input error, 3 resource cap exceeded.
+2 input error, 3 resource cap exceeded, 4 internal error (a fault of the
+engine, reported as one ``internal error:`` line instead of a traceback).
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class _InputError(Exception):
@@ -316,6 +318,9 @@ def main(argv=None) -> int:
     except GraphError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # anything else is a fault of the engine, not of its input
+        print("internal error: %r" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -202,6 +202,18 @@ def _index(entry: dict, name: str, pos: int, d: int) -> int:
     return value - 1
 
 
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _require_json(value, want: type, where: str):
+    """``value`` if it has the JSON type ``want``, else a PoissonError naming ``where``."""
+    if type(value) is not want:
+        raise PoissonError("%s must be %s, got %s" % (
+            where, _JSON_NAMES[want], _JSON_NAMES.get(type(value), type(value).__name__)))
+    return value
+
+
 def _rational(value, where: str) -> Fraction:
     """A JSON number or numeric string as a Fraction; ``where`` names the field."""
     try:
@@ -287,6 +299,7 @@ class PoissonStructure:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PoissonStructure":
+        _require_json(obj, dict, "the top level")
         try:
             d = obj["d"]
             kind = obj["kind"]
@@ -295,21 +308,24 @@ class PoissonStructure:
             if d < 1:
                 raise PoissonError('"d" must be >= 1, got %d' % d)
             if kind == "constant":
-                if len(obj["alpha"]) != d:
-                    raise PoissonError(
-                        '"alpha" has %d rows but "d" is %d' % (len(obj["alpha"]), d)
-                    )
+                rows = _require_json(obj["alpha"], list, '"alpha"')
+                if len(rows) != d:
+                    raise PoissonError('"alpha" has %d rows but "d" is %d' % (len(rows), d))
                 where = '"alpha"[%d][%d]'
                 return cls.constant(
                     [
-                        [_rational(x, where % (r, c)) for c, x in enumerate(row)]
-                        for r, row in enumerate(obj["alpha"])
+                        [
+                            _rational(x, where % (r, c))
+                            for c, x in enumerate(_require_json(row, list, '"alpha"[%d]' % r))
+                        ]
+                        for r, row in enumerate(rows)
                     ]
                 )
             if kind == "linear":
                 tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
                 setter: dict[tuple, int] = {}  # (i, j, k) -> position that set it
-                for pos, entry in enumerate(obj["c"]):
+                for pos, entry in enumerate(_require_json(obj["c"], list, '"c"')):
+                    _require_json(entry, dict, "entry c[%d]" % pos)
                     i, j, k = (_index(entry, name, pos, d) for name in "ijk")
                     val = _rational(entry["val"], 'entry c[%d]: "val"' % pos)
                     for cell, value in (((i, j, k), val), ((j, i, k), -val)):

@@ -2,7 +2,9 @@
 
 Builds the star-product series order by order as m_n = P(sigma(D_n)), where P
 is an optional Poisson-kernel projection, and exposes the associativity
-defects and the cocycle/contraction diagnostics per order.
+defects and the cocycle/contraction diagnostics per order.  P keeps or drops
+a graph by a test on its internal in-degrees (``PROJECTIONS``), so it is
+applied to each raw graft of D_n before the graft is canonicalized.
 """
 from __future__ import annotations
 
@@ -11,32 +13,49 @@ from fractions import Fraction
 
 from .algebra import (
     GraphVector,
+    Keep,
     add_terms,
     bracket,
+    compose,
     differential,
-    project_constant,
-    project_linear,
+    graded_commutator,
+    keeps_constant,
+    keeps_linear,
+    project,
     sigma,
     vec,
 )
 from .graphs import b0, b1
 
-PROJECTIONS = {
-    "none": lambda v: v,
-    "constant": project_constant,
-    "linear": project_linear,
+# Each projection's test on a graph; None keeps every graph.
+PROJECTIONS: dict[str, Keep] = {
+    "none": None,
+    "constant": keeps_constant,
+    "linear": keeps_linear,
 }
 
 
-def apply_projection(v: GraphVector, projection: str) -> GraphVector:
+def projection_test(projection: str) -> Keep:
+    """The graph test of ``projection``, for the ``keep`` argument of the bracket."""
     if projection not in PROJECTIONS:
         raise ValueError("unknown projection %r" % projection)
-    return PROJECTIONS[projection](v)
+    return PROJECTIONS[projection]
+
+
+def apply_projection(v: GraphVector, projection: str) -> GraphVector:
+    keep = projection_test(projection)
+    return v if keep is None else project(v, keep)
 
 
 @dataclass
 class OrderReport:
-    """Per-order diagnostics emitted by solve()."""
+    """Per-order diagnostics emitted by solve().
+
+    ``defect_terms`` (serialized as ``"defect_norm"``) is derived, not an
+    independent measurement: it is the term count of the projected defect
+    ([m_n, m_0] - d m_n) + 2 residual, so it equals ``len(residual)`` while
+    lemma 1 holds.
+    """
 
     n: int
     m_n: GraphVector
@@ -69,12 +88,14 @@ def initial_series(projection: str = "none", normalization: str = "merger") -> S
     return StarSeries(1, [vec(b0()), vec(b1())], projection, normalization)
 
 
-def d_term(series: StarSeries, n: int) -> GraphVector:
+def d_term(series: StarSeries, n: int, keep: Keep = None) -> GraphVector:
     """D_n = -1/2 sum_{j+k=n, j,k>=1} [m_j, m_k]; zero for n=1.
 
     Each distinct bracket is formed once, for j <= n/2.  Every coefficient
     has m = 2 (Lie degree 1), where the graded bracket is symmetric, so the
     mirrored entry [m_{n-j}, m_j] is the same vector and counts twice.
+    With ``keep`` a projection's test, the result is P(D_n): the brackets
+    drop the grafts P would kill before canonicalizing them.
     """
     if n < 0:
         raise ValueError("d_term defined for n >= 0")
@@ -83,7 +104,7 @@ def d_term(series: StarSeries, n: int) -> GraphVector:
     acc: dict = {}
     for j in range(1, n // 2 + 1):
         weight = Fraction(-1, 2) if 2 * j == n else -1  # a mirrored pair counts twice
-        br = bracket(series.coeffs[j], series.coeffs[n - j])
+        br = bracket(series.coeffs[j], series.coeffs[n - j], keep)
         add_terms(acc, ((g, c * weight) for g, c in br.terms()))
     return GraphVector(acc)
 
@@ -120,10 +141,11 @@ def lemma1_identity(series: StarSeries, n: int) -> bool:
 def cocycle_check(series: StarSeries, n: int) -> GraphVector:
     """P(d D_{n+1}); expected zero when lower orders close, returned as-is.
 
-    P is applied to D_{n+1} first: it commutes with d (see ``solve``), so d
-    runs only on the terms that P keeps.
+    P is applied to the grafts of D_{n+1}: it commutes with d (see ``solve``),
+    so d runs only on the terms that P keeps.
     """
-    return differential(apply_projection(d_term(series, n + 1), series.projection))
+    keep = projection_test(series.projection)
+    return differential(d_term(series, n + 1, keep))
 
 
 def solve(
@@ -134,29 +156,34 @@ def solve(
     """Iterate m_n = P(sigma(D_n)) for 2 <= n <= N from m_0 = b0, m_1 = b1.
 
     Each order forms each bracket of D_n once and projects only D_n.  P
-    keeps or drops a graph by its internal in-degrees, which sigma (a
-    boundary merge), d = [b0, .] and [., m_0] (grafts of b0, which has no
-    internal vertex) all preserve.  So m_n = sigma(P(D_n)), and every vector
-    formed from it is already projected.  The projected defect
-    d m_n + [m_n, m_0] - 2 P(D_n) is ([m_n, m_0] - d m_n) + 2 residual,
-    with residual = d m_n - P(D_n); lemma 1 holds iff [m_n, m_0] = d m_n.
+    keeps or drops a graph by its internal in-degrees, which grafting fixes
+    once a graft is made, and which sigma (a boundary merge), d = [b0, .]
+    and [., m_0] (grafts of b0, which has no internal vertex) all preserve.
+    So the brackets of D_n drop each graft P kills before canonicalizing it,
+    m_n = sigma(P(D_n)), and every vector formed from it is already
+    projected.  d m_n and [m_n, m_0] are the same two compositions,
+    m_n o b0 and b0 o m_n, combined by the bracket's sign rule; each is
+    formed once.  The projected defect d m_n + [m_n, m_0] - 2 P(D_n) is
+    ([m_n, m_0] - d m_n) + 2 residual, with residual = d m_n - P(D_n);
+    lemma 1 holds iff [m_n, m_0] = d m_n.
 
     Raises SigmaDomainError if a term of some P(D_n) has fewer than two
     internal vertices, where sigma is undefined.
     """
     if N < 1:
         raise ValueError("truncation order must be >= 1")
-    if projection not in PROJECTIONS:
-        raise ValueError("unknown projection %r" % projection)
+    keep = projection_test(projection)
     series = initial_series(projection, sigma_normalization)
     m0 = series.coeffs[0]
     for n in range(2, N + 1):
-        dn = apply_projection(d_term(series, n), projection)
+        dn = d_term(series, n, keep)
         mn = sigma(dn, sigma_normalization)
         series.coeffs.append(mn)
         series.order = n
-        dmn = differential(mn)
-        edge = bracket(mn, m0) - dmn  # zero exactly when lemma 1 holds
+        # m_0 and every m_n have m = 2, Lie degree 1
+        after, before = compose(mn, m0), compose(m0, mn)
+        dmn = graded_commutator(before, after, 1, 1)  # [m_0, m_n]
+        edge = graded_commutator(after, before, 1, 1) - dmn  # zero iff lemma 1 holds
         residual = dmn - dn
         defect_terms = len(edge + residual.scale(2))
         series.reports.append(OrderReport(n, mn, residual, edge.is_zero, defect_terms))
@@ -174,11 +201,14 @@ def hat_iteration(
     projection: str = "none",
     sigma_normalization: str = "merger",
 ) -> GraphVector:
-    """The initiator tower t^{k-1}(b1), t(v) = P(sigma([b1, v])) = sigma(P([b1, v]))."""
+    """The initiator tower t^{k-1}(b1), t(v) = P(sigma([b1, v])) = sigma(P([b1, v])).
+
+    P is applied to the grafts of each bracket, as in ``solve``.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
+    keep = projection_test(projection)
     v = b1v = vec(b1())
     for _ in range(k - 1):
-        grafts = apply_projection(bracket(b1v, v), projection)
-        v = sigma(grafts, sigma_normalization)
+        v = sigma(bracket(b1v, v, keep), sigma_normalization)
     return v

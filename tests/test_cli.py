@@ -3,7 +3,10 @@ import json
 
 import pytest
 
-from graphdgla.cli import EXIT_CAP, EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_OK, main
+from graphdgla import cli
+from graphdgla.cli import (
+    EXIT_CAP, EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main,
+)
 
 SO3_JSON = {
     "d": 3,
@@ -217,6 +220,12 @@ class TestEvaluate:
             ({"d": True, "kind": "constant", "alpha": [["0"]]}, '"d" must be an integer'),
             ({"d": 3, "kind": "linear", "c": [{"i": 2.9, "j": True, "k": "3", "val": 1}]},
              'entry c[0]: index "i" must be an integer, got 2.9'),
+            ({"d": 2, "kind": "constant", "alpha": ["00", "00"]},
+             '"alpha"[0] must be an array'),
+            ({"d": 3, "kind": "linear", "c": "ab"}, '"c" must be an array'),
+            ({"d": 3, "kind": "linear", "c": {"i": 1}}, '"c" must be an array'),
+            ({"d": 3, "kind": "linear", "c": [7]}, "entry c[0] must be an object"),
+            ([1, 2], "the top level must be an object"),
         ],
     )
     def test_contradictory_poisson_file(self, capsys, tmp_path, obj, detail):
@@ -228,6 +237,19 @@ class TestEvaluate:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("error: bad Poisson file %s: " % bad)
         assert detail in captured.err and captured.err.count("\n") == 1
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # a fault of the engine is neither a failed check (1) nor a traceback
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_solve", crash)
+    code = main(["solve", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL and captured.out == ""
+    assert captured.err == "internal error: RuntimeError('boom')\n"
+    assert EXIT_INTERNAL not in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_CAP)
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,25 @@ class TestPoissonStructure:
                 {"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": "2/0"}]},
                 'entry c[0]: "val" = "2/0" has a zero denominator',
             ),
+            (
+                {"d": 2, "kind": "constant", "alpha": ["00", "00"]},
+                '"alpha"[0] must be an array, got a string',
+            ),
+            (
+                {"d": 2, "kind": "constant", "alpha": [["0", "1"], None]},
+                '"alpha"[1] must be an array, got null',
+            ),
+            (
+                {"d": 2, "kind": "constant", "alpha": "00"},
+                '"alpha" must be an array, got a string',
+            ),
+            ({"d": 3, "kind": "linear", "c": "ab"}, '"c" must be an array, got a string'),
+            ({"d": 3, "kind": "linear", "c": {"i": 1}}, '"c" must be an array, got an object'),
+            (
+                {"d": 3, "kind": "linear", "c": [[1, 2, 3, 1]]},
+                "entry c[0] must be an object, got an array",
+            ),
+            ([1, 2], "the top level must be an object, got an array"),
         ],
     )
     def test_json_rejects_inconsistent_entries(self, obj, message):

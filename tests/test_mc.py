@@ -1,4 +1,5 @@
 """The deformation recursion m_n = P(sigma(D_n)) and its diagnostics."""
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -79,7 +80,7 @@ class TestSolve:
 
     def test_d_term_outside_sigma_domain(self, monkeypatch):
         # a one-vertex D_2 term lies outside sigma's domain
-        monkeypatch.setattr(mc, "d_term", lambda series, n: vec(mc.b1()))
+        monkeypatch.setattr(mc, "d_term", lambda series, n, *_: vec(mc.b1()))
         with pytest.raises(SigmaDomainError):
             mc.solve(2)
 
@@ -133,6 +134,58 @@ class TestProjectionCommutes:
                     assert mc.apply_projection(differential(x), projection) == (
                         differential(mc.apply_projection(x, projection))
                     )
+
+
+# Each projection written out on its own, so the oracle below shares no code
+# with the predicates that solve passes to the bracket.
+ORACLE_KEEPS = {
+    "constant": lambda g: all(t < g.m for pair in g.targets for t in pair),
+    "linear": lambda g: max(g.internal_in_degrees(), default=0) <= 1,
+}
+
+
+def oracle_project(x, projection):
+    keep = ORACLE_KEEPS[projection]
+    return GraphVector({g: c for g, c in x.terms() if keep(g)})
+
+
+class TestProjectedGrafts:
+    """Filtering raw grafts by P's test before canonicalize gives the same
+    vectors as forming everything and projecting afterwards."""
+
+    @pytest.mark.parametrize("projection", ("constant", "linear"))
+    def test_bracket(self, projection):
+        keep = mc.PROJECTIONS[projection]
+        pool = [vec(c) for n in range(3) for c in enumerate_classes(n, 2)]
+        for f in pool:
+            for g in pool:
+                assert bracket(f, g, keep) == oracle_project(bracket(f, g), projection)
+
+    @pytest.mark.parametrize("normalization", ("merger", "linear-alt"))
+    @pytest.mark.parametrize("projection", ("constant", "linear"))
+    def test_d_term(self, projection, normalization):
+        keep = mc.PROJECTIONS[projection]
+        series = mc.solve(5, projection, normalization)
+        for n in range(6):
+            assert mc.d_term(series, n, keep) == oracle_project(
+                mc.d_term(series, n), projection
+            )
+
+    @pytest.mark.parametrize("projection", ("constant", "linear"))
+    def test_hat_iteration(self, projection):
+        b1v = v = vec(mc.b1())
+        for k in range(1, 5):
+            assert mc.hat_iteration(k, projection) == v
+            v = sigma(oracle_project(bracket(b1v, v), projection))
+
+    @pytest.mark.parametrize("projection", ("constant", "linear"))
+    def test_cocycle_check(self, projection):
+        # the unprojected series tagged with P: its D_{n+1} keeps every graft
+        # P kills, whatever P's test reads
+        series = dataclasses.replace(mc.solve(4), projection=projection)
+        for n in range(5):
+            want = differential(oracle_project(mc.d_term(series, n + 1), projection))
+            assert mc.cocycle_check(series, n) == want
 
 
 class TestBracketTable:
