@@ -337,6 +337,11 @@ def enumerate_classes(
 
     Deterministic lexicographic order of the canonical encodings.  Classes
     violating ``max_in_degree`` at some internal vertex are omitted.
+
+    Candidates come from an orderly walk (``_orderly_assignments``) and only
+    those are canonicalized.  ``cap`` still bounds the labeled space
+    ``((m+n-1)(m+n-2))**n``, not the walk, so (5,3), at 42**5 > 10**8,
+    needs a larger ``cap`` than the default.
     """
     if n < 0 or m < 1:
         raise GraphError("need n >= 0 and m >= 1")
@@ -358,7 +363,7 @@ def enumerate_classes(
             if a != own and b != own
         ]
         vertex_options.append(opts)
-    for assignment in itertools.product(*vertex_options):
+    for assignment in _orderly_assignments(m, vertex_options):
         c = canonicalize(LabeledGraph(m, assignment))
         if c.is_zero:
             continue
@@ -368,6 +373,67 @@ def enumerate_classes(
             continue
         seen.add(c.graph)
     return [SignedGraphClass(g, 1) for g in sorted(seen, key=LabeledGraph.sort_key)]
+
+
+def _orderly_assignments(m: int, vertex_options: list[list[Pair]]):
+    """The assignments of ``product(*vertex_options)`` that no transposition
+    of two internal labels makes lexicographically smaller.
+
+    Positions 0, 1, ... are filled depth first.  Once positions 0..p are
+    fixed, a transposition (i j) with i < j <= p sends them to positions
+    0..p of its image (targets relabelled, each pair re-sorted) and leaves
+    every label above p alone, so that prefix depends on positions 0..p
+    only.  If it is smaller than the current prefix, every completion is
+    beaten and the branch is cut; if it is larger, (i j) never cuts below
+    here and is dropped; if it ties, it is tested again at the next depth.
+
+    Nothing is lost: every nonzero class has a lex-min encoding, which has
+    ascending pairs and no self-loops, so it lies in the product; and a
+    transposition is one of the relabellings ``canonicalize`` minimizes
+    over, so it cannot beat that encoding on any prefix.
+    """
+    n = len(vertex_options)
+    size = m + n
+    prefix: list[Pair] = [(0, 0)] * n
+
+    def compare(i: int, j: int, sw: list[int], start: int, p: int) -> int:
+        """Sign of (image under (i j)) - (prefix) on positions start..p;
+        ``sw`` is the target map of (i j)."""
+        for k in range(start, p + 1):
+            x, y = prefix[j if k == i else i if k == j else k]
+            x, y = sw[x], sw[y]
+            image = (x, y) if x < y else (y, x)
+            if image != prefix[k]:
+                return -1 if image < prefix[k] else 1
+        return 0
+
+    def walk(p: int, tied: list[tuple]):
+        # ``tied``: the transpositions (i, j, sw), j < p, whose image ties
+        # positions 0..p-1, so only position p is left to compare
+        fresh = []
+        for i in range(p):
+            sw = list(range(size))
+            sw[m + i], sw[m + p] = m + p, m + i
+            fresh.append((i, p, sw))
+        for pair in vertex_options[p]:
+            prefix[p] = pair
+            live = []
+            for i, j, sw in tied + fresh:
+                order = compare(i, j, sw, 0 if j == p else p, p)
+                if order < 0:
+                    break
+                if order == 0:
+                    live.append((i, j, sw))
+            else:
+                if p + 1 == n:
+                    yield tuple(prefix)
+                else:
+                    yield from walk(p + 1, live)
+
+    if n == 0:
+        yield ()
+    else:
+        yield from walk(0, [])
 
 
 # -- named graphs ----------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .algebra import GraphVector, add_terms, split_signed_terms
+from .algebra import GraphVector, add_terms, keeps_constant, keeps_linear, split_signed_terms
 from .graphs import GraphError, LabeledGraph, SignedGraphClass
 from .mc import StarSeries
 
@@ -415,14 +415,23 @@ class Operator:
         return Poly(self.d, acc)
 
 
+# a graph failing its structure's test differentiates some vertex tensor
+# past its polynomial degree, so every edge assignment of it is zero
+_KIND_TESTS = {"constant": keeps_constant, "linear": keeps_linear}
+
+
 @functools.lru_cache(maxsize=256)
 def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
     """The operator of ``x`` under Kontsevich's rule, walking each graph's
-    edge assignments once; cached per (vector, structure)."""
+    edge assignments once; cached per (vector, structure).  Graphs that
+    vanish for ``alpha.kind`` are skipped, but still count in ``arities``."""
     d = alpha.d
     pairs = alpha.nonzero_entries()
+    keep = _KIND_TESTS[alpha.kind]
     acc: dict[tuple, dict[tuple, Fraction]] = {}
     for g, c in x.terms():
+        if not keep(g):
+            continue
         m, n = g.m, g.n
         for assign in itertools.product(pairs, repeat=n):
             derivs: list[list[int]] = [[] for _ in range(m + n)]

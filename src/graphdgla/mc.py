@@ -51,6 +51,12 @@ def apply_projection(v: GraphVector, projection: str) -> GraphVector:
 class OrderReport:
     """Per-order diagnostics emitted by solve().
 
+    ``lemma1_identity`` is true by construction: ``solve`` builds d m_n and
+    [m_n, m_0] from the same two compositions, so the field checks only the
+    bracket's sign rule.  The independent Lemma-1 check is
+    ``lemma1_identity`` in this module (``graphdgla selftest --only
+    lemma1``), which forms d m_n on its own.
+
     ``defect_terms`` (serialized as ``"defect_norm"``) is derived, not an
     independent measurement: it is the term count of the projected defect
     ([m_n, m_0] - d m_n) + 2 residual, so it equals ``len(residual)`` while

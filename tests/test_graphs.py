@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from graphdgla import graphs
 from graphdgla.graphs import (
     GraphError,
     LabeledGraph,
     ResourceCapExceeded,
+    SignedGraphClass,
     b0,
     b1,
     b1_power,
@@ -210,12 +212,68 @@ class TestEnumerate:
             degs = c.graph.internal_in_degrees()
             assert (c.graph in kept) == (max(degs, default=0) <= 1)
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("work done before the cap check")
+
+        # the cap fires before any assignment is walked or canonicalized
+        monkeypatch.setattr(graphs, "canonicalize", refuse)
+        monkeypatch.setattr(graphs, "_orderly_assignments", refuse)
         with pytest.raises(ResourceCapExceeded):
             enumerate_classes(3, 3, cap=10)
 
     def test_deterministic_order(self):
         assert enumerate_classes(2, 3) == enumerate_classes(2, 3)
+
+
+def ref_enumerate_classes(n, m, max_in_degree=None):
+    """The flat loop: canonicalize every labeled assignment of ascending pairs."""
+    size = m + n
+    seen = set()
+    vertex_options = []
+    for k in range(n):
+        own = m + k
+        opts = [
+            (a, b)
+            for a, b in itertools.combinations(range(size), 2)
+            if a != own and b != own
+        ]
+        vertex_options.append(opts)
+    for assignment in itertools.product(*vertex_options):
+        c = canonicalize(LabeledGraph(m, assignment))
+        if c.is_zero:
+            continue
+        if max_in_degree is not None and any(
+            d > max_in_degree for d in c.graph.internal_in_degrees()
+        ):
+            continue
+        seen.add(c.graph)
+    return [SignedGraphClass(g, 1) for g in sorted(seen, key=LabeledGraph.sort_key)]
+
+
+ORACLE_SIZES = [(n, m) for n in range(4) for m in range(1, 5)] + [(4, 1), (4, 2), (4, 3)]
+
+
+class TestOrderlyEnumeration:
+    """The orderly walk against the flat loop it replaced."""
+
+    @pytest.mark.parametrize("max_in_degree", [None, 1, 2])
+    @pytest.mark.parametrize("n, m", ORACLE_SIZES)
+    def test_same_list_as_flat_loop(self, n, m, max_in_degree):
+        got = enumerate_classes(n, m, max_in_degree)
+        assert got == ref_enumerate_classes(n, m, max_in_degree)
+
+    def test_canonicalizes_fewer_assignments(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return canonicalize(g)
+
+        monkeypatch.setattr(graphs, "canonicalize", counting)
+        assert len(enumerate_classes(4, 2)) == 445
+        # the flat loop canonicalizes all 10**4 assignments
+        assert len(calls) < 1000
 
 
 class TestMergeBoundary:

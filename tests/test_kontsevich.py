@@ -8,13 +8,22 @@ from fractions import Fraction
 import pytest
 
 from graphdgla import mc
-from graphdgla.algebra import GraphVector, project_constant, vec
+from graphdgla.algebra import (
+    GraphVector,
+    add_terms,
+    keeps_constant,
+    keeps_linear,
+    project_constant,
+    vec,
+)
 from graphdgla.graphs import GraphError, b1, c2, enumerate_classes, t2L, t2R
 from graphdgla.kontsevich import (
+    Operator,
     PoissonError,
     PoissonStructure,
     Poly,
     associativity_defect,
+    compile_vector,
     evaluate,
     evaluate_graph,
     monomials_up_to_degree,
@@ -529,6 +538,63 @@ class TestCompiledOperator:
             evaluate(b1(), alpha, [x1])
         with pytest.raises(ValueError):
             evaluate(b1(), alpha, [Poly.variable(2, 1)] * 2)
+
+
+def ref_compile_vector(x, alpha):
+    """``compile_vector`` without the kind filter: every graph's pairs^n
+    edge assignments are walked."""
+    d = alpha.d
+    pairs = alpha.nonzero_entries()
+    acc = {}
+    for g, c in x.terms():
+        m, n = g.m, g.n
+        for assign in itertools.product(pairs, repeat=n):
+            derivs = [[] for _ in range(m + n)]
+            for k, (i, j, _) in enumerate(assign):
+                a, b = g.targets[k]
+                derivs[a].append(i + 1)
+                derivs[b].append(j + 1)
+            coeff = Poly.const(d, c)
+            for k, (_, _, p) in enumerate(assign):
+                factor = p.multi_diff(derivs[m + k])
+                if factor.is_zero:
+                    break
+                coeff = coeff * factor
+            else:
+                key = tuple(tuple(sorted(derivs[s])) for s in range(m))
+                add_terms(acc.setdefault(key, {}), coeff._terms.items())
+    terms = ((key, Poly(d, coeff)) for key, coeff in acc.items())
+    return Operator(d, frozenset(g.m for g, _ in x.terms()), tuple(t for t in terms if t[1]))
+
+
+class TestKindFilter:
+    """compile_vector skips the graphs that vanish for the structure's kind."""
+
+    CASES = [("so3", keeps_linear), ("symplectic", keeps_constant)]
+
+    @pytest.mark.parametrize("name, keep", CASES)
+    def test_same_operator_as_unfiltered_walk(self, name, keep):
+        alpha = STRUCTURES[name]
+        classes = [c for n in range(4) for c in enumerate_classes(n, 2)]
+        for c in classes:
+            x = GraphVector.from_class(c)
+            assert compile_vector(x, alpha) == ref_compile_vector(x, alpha), c.graph
+        # one vector mixing kept and dropped graphs, with distinct coefficients
+        x = GraphVector.combine((c, Fraction(k + 1, 3)) for k, c in enumerate(classes))
+        assert compile_vector(x, alpha) == ref_compile_vector(x, alpha)
+
+    @pytest.mark.parametrize("name, keep", CASES)
+    def test_dropped_graph_compiles_to_nothing(self, name, keep):
+        alpha = STRUCTURES[name]
+        dropped = [
+            c for n in range(4) for c in enumerate_classes(n, 2) if not keep(c.graph)
+        ]
+        assert dropped
+        for c in dropped:
+            x = GraphVector.from_class(c)
+            assert ref_compile_vector(x, alpha).terms == (), c.graph
+            assert compile_vector(x, alpha).terms == ()
+            assert compile_vector(x, alpha).arities == frozenset({2})
 
 
 class TestDefectIdentity:
