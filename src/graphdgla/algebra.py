@@ -298,15 +298,6 @@ def compose(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
     return GraphVector(acc)
 
 
-def graded_commutator(fg: GraphVector, gf: GraphVector, df: int, dg: int) -> GraphVector:
-    """f o g - (-1)^{df dg} g o f from the two compositions fg and gf.
-
-    The one sign rule of the bracket; ``mc.solve`` uses it to form both
-    d m_n and [m_n, m_0] from the same two compositions with b0.
-    """
-    return fg - gf if (df * dg) % 2 == 0 else fg + gf
-
-
 def bracket(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
     """Graded Lie bracket [f, g] = f o g - (-1)^{|f||g|} g o f.
 
@@ -317,7 +308,8 @@ def bracket(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
     df, dg = f.lie_degree(), g.lie_degree()
     if df is None or dg is None:
         raise GraphError("bracket requires m-homogeneous arguments")
-    return graded_commutator(compose(f, g, keep), compose(g, f, keep), df, dg)
+    fg, gf = compose(f, g, keep), compose(g, f, keep)
+    return fg - gf if (df * dg) % 2 == 0 else fg + gf
 
 
 _B0_VEC = vec(b0())

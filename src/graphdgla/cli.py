@@ -30,7 +30,7 @@ from .kontsevich import (
     Poly,
     associativity_defect,
     evaluate,
-    monomials_up_to_degree,
+    iter_monomials,
 )
 
 EXIT_OK = 0
@@ -131,10 +131,11 @@ def cmd_solve(args) -> int:
         report["moyal_ok"] = ok
     if args.poisson:
         alpha = _load_poisson(args.poisson)
-        corpus = monomials_up_to_degree(alpha.d, args.corpus_degree)
+        monomials = iter_monomials(alpha.d, args.corpus_degree)
+        corpus = list(itertools.islice(monomials, args.corpus_limit))
         count = 0
         sample = None
-        for u, v, w in itertools.product(corpus[: args.corpus_limit], repeat=3):
+        for u, v, w in itertools.product(corpus, repeat=3):
             defects = associativity_defect(series, alpha, u, v, w)
             nonzero = [n for n, p in enumerate(defects) if p]
             if nonzero:

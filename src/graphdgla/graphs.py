@@ -99,7 +99,11 @@ class LabeledGraph:
             idx = int(tok[1:])
             if idx < 1:
                 raise GraphError("bad target %r" % tok)
-            return idx - 1 if tok[0] == "b" else m + idx - 1
+            if tok[0] == "v":
+                return m + idx - 1
+            if idx > m:
+                raise GraphError("bad target %r: boundary vertices are b1..b%d" % (tok, m))
+            return idx - 1
 
         if body:
             for chunk in body.split(";"):
@@ -116,6 +120,11 @@ class LabeledGraph:
         n = len(entries)
         if set(entries) != set(range(n)):
             raise GraphError("vertex labels must be v1..v%d" % n)
+        for a, b in entries.values():
+            if max(a, b) >= m + n:  # n is known only now
+                raise GraphError(
+                    "bad target 'v%d': internal vertices are v1..v%d" % (max(a, b) - m + 1, n)
+                )
         g = cls(m, tuple(entries[k] for k in range(n)))
         g.validate()
         return g

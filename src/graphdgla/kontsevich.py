@@ -15,11 +15,11 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .algebra import GraphVector, add_terms, keeps_constant, keeps_linear, split_signed_terms
+from .algebra import GraphVector, add_terms, split_signed_terms
 from .graphs import GraphError, LabeledGraph, SignedGraphClass
-from .mc import StarSeries
+from .mc import PROJECTIONS, StarSeries
 
 
 class PoissonError(ValueError):
@@ -415,11 +415,6 @@ class Operator:
         return Poly(self.d, acc)
 
 
-# a graph failing its structure's test differentiates some vertex tensor
-# past its polynomial degree, so every edge assignment of it is zero
-_KIND_TESTS = {"constant": keeps_constant, "linear": keeps_linear}
-
-
 @functools.lru_cache(maxsize=256)
 def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
     """The operator of ``x`` under Kontsevich's rule, walking each graph's
@@ -427,7 +422,9 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
     vanish for ``alpha.kind`` are skipped, but still count in ``arities``."""
     d = alpha.d
     pairs = alpha.nonzero_entries()
-    keep = _KIND_TESTS[alpha.kind]
+    # a graph failing its structure's kind test differentiates some vertex
+    # tensor past its polynomial degree, so every edge assignment of it is zero
+    keep = PROJECTIONS[alpha.kind]
     acc: dict[tuple, dict[tuple, Fraction]] = {}
     for g, c in x.terms():
         if not keep(g):
@@ -517,11 +514,14 @@ def associativity_defect(
     return [l - r for l, r in zip(left, right)]
 
 
-def monomials_up_to_degree(d: int, degree: int) -> list[Poly]:
-    """All monomials in d variables of total degree <= degree."""
-    out = []
+def iter_monomials(d: int, degree: int) -> Iterator[Poly]:
+    """The monomials in d variables of total degree <= degree, lazily."""
     for total in range(degree + 1):
         for exps in itertools.product(range(total + 1), repeat=d):
             if sum(exps) == total:
-                out.append(Poly.monomial(d, exps))
-    return out
+                yield Poly.monomial(d, exps)
+
+
+def monomials_up_to_degree(d: int, degree: int) -> list[Poly]:
+    """All monomials in d variables of total degree <= degree."""
+    return list(iter_monomials(d, degree))

@@ -16,9 +16,7 @@ from .algebra import (
     Keep,
     add_terms,
     bracket,
-    compose,
     differential,
-    graded_commutator,
     keeps_constant,
     keeps_linear,
     project,
@@ -51,23 +49,24 @@ def apply_projection(v: GraphVector, projection: str) -> GraphVector:
 class OrderReport:
     """Per-order diagnostics emitted by solve().
 
-    ``lemma1_identity`` is true by construction: ``solve`` builds d m_n and
-    [m_n, m_0] from the same two compositions, so the field checks only the
-    bracket's sign rule.  The independent Lemma-1 check is
-    ``lemma1_identity`` in this module (``graphdgla selftest --only
-    lemma1``), which forms d m_n on its own.
-
-    ``defect_terms`` (serialized as ``"defect_norm"``) is derived, not an
-    independent measurement: it is the term count of the projected defect
-    ([m_n, m_0] - d m_n) + 2 residual, so it equals ``len(residual)`` while
-    lemma 1 holds.
+    Every m_n has Lie degree 1, where the graded bracket is symmetric, so
+    [m_n, m_0] = [m_0, m_n] = d m_n and the projected defect
+    d m_n + [m_n, m_0] - 2 P(D_n) is 2 residual.  Hence ``lemma1_identity``
+    is constantly true and ``defect_terms`` (serialized as
+    ``"defect_norm"``) is ``len(residual)``.  The independent Lemma-1
+    check is ``lemma1_identity`` in this module (``graphdgla selftest
+    --only lemma1``).
     """
 
     n: int
     m_n: GraphVector
     residual: GraphVector  # d m_n - P(D_n), reported, not asserted
-    lemma1_identity: bool
-    defect_terms: int
+
+    lemma1_identity = True
+
+    @property
+    def defect_terms(self) -> int:
+        return len(self.residual)
 
     def to_json_obj(self) -> dict:
         return {
@@ -166,12 +165,9 @@ def solve(
     once a graft is made, and which sigma (a boundary merge), d = [b0, .]
     and [., m_0] (grafts of b0, which has no internal vertex) all preserve.
     So the brackets of D_n drop each graft P kills before canonicalizing it,
-    m_n = sigma(P(D_n)), and every vector formed from it is already
-    projected.  d m_n and [m_n, m_0] are the same two compositions,
-    m_n o b0 and b0 o m_n, combined by the bracket's sign rule; each is
-    formed once.  The projected defect d m_n + [m_n, m_0] - 2 P(D_n) is
-    ([m_n, m_0] - d m_n) + 2 residual, with residual = d m_n - P(D_n);
-    lemma 1 holds iff [m_n, m_0] = d m_n.
+    m_n = sigma(P(D_n)), and d m_n is already projected.  Each order reports
+    residual = d m_n - P(D_n); see ``OrderReport`` for why that is the whole
+    projected defect.
 
     Raises SigmaDomainError if a term of some P(D_n) has fewer than two
     internal vertices, where sigma is undefined.
@@ -180,19 +176,12 @@ def solve(
         raise ValueError("truncation order must be >= 1")
     keep = projection_test(projection)
     series = initial_series(projection, sigma_normalization)
-    m0 = series.coeffs[0]
     for n in range(2, N + 1):
         dn = d_term(series, n, keep)
         mn = sigma(dn, sigma_normalization)
         series.coeffs.append(mn)
         series.order = n
-        # m_0 and every m_n have m = 2, Lie degree 1
-        after, before = compose(mn, m0), compose(m0, mn)
-        dmn = graded_commutator(before, after, 1, 1)  # [m_0, m_n]
-        edge = graded_commutator(after, before, 1, 1) - dmn  # zero iff lemma 1 holds
-        residual = dmn - dn
-        defect_terms = len(edge + residual.scale(2))
-        series.reports.append(OrderReport(n, mn, residual, edge.is_zero, defect_terms))
+        series.reports.append(OrderReport(n, mn, differential(mn) - dn))
     return series
 
 

@@ -93,6 +93,21 @@ class TestVectorCommands:
         capsys.readouterr()
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "literal, token",
+        [
+            ("1 * G{m=2; v1=(b1,b2); v2=(b3,b1)}", "'b3'"),
+            ("1 * G{m=2; v1=(b1,b3); v2=(b2,b1)}", "'b3'"),
+            ("1 * G{m=2; v1=(b1,v3); v2=(b2,b1)}", "'v3'"),
+        ],
+    )
+    def test_target_past_range(self, capsys, literal, token):
+        code = main(["compose", literal, "G{m=2;}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert token in captured.err
+
 
 class TestSolve:
     def test_constant_exit_ok(self, capsys):

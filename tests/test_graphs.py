@@ -383,6 +383,20 @@ class TestLiterals:
             with pytest.raises((GraphError, ValueError)):
                 LabeledGraph.from_literal(bad)
 
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("G{m=2; v1=(b1,b2); v2=(b3,b1)}", "'b3'"),
+            ("G{m=2; v1=(b1,b3); v2=(b2,b1)}", "'b3'"),
+            ("G{m=1; v1=(b2,b1)}", "'b2'"),
+            ("G{m=2; v1=(b1,v4); v2=(b2,b1)}", "'v4'"),
+            ("G{m=2; v1=(v2,b1)}", "'v2'"),
+        ],
+    )
+    def test_rejects_target_past_range(self, text, token):
+        with pytest.raises(GraphError, match=token):
+            LabeledGraph.from_literal(text)
+
 
 class TestWedges:
     def test_wedge_feet(self):

@@ -88,6 +88,8 @@ class TestSolve:
         series = mc.solve(2, "constant")
         obj = series.reports[0].to_json_obj()
         assert set(obj) == {"n", "m_n", "residual", "lemma1_identity", "defect_norm"}
+        # the solve digests hash the serialized report, so the order is pinned too
+        assert list(obj) == ["n", "m_n", "residual", "lemma1_identity", "defect_norm"]
 
 
 class TestDefect:
