@@ -253,27 +253,28 @@ class PoissonStructure:
         )
         if any(len(p) != d or any(len(r) != d for r in p) for p in c):
             raise PoissonError("tensor must be d x d x d")
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    if c[i][j][k] != -c[j][i][k]:
-                        raise PoissonError("tensor must be antisymmetric in (i, j)")
-        # Jacobi identity of the induced bracket
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        total = sum(
-                            c[i][j][mm] * c[mm][k][l]
-                            + c[j][k][mm] * c[mm][i][l]
-                            + c[k][i][mm] * c[mm][j][l]
-                            for mm in range(d)
-                        )
-                        if total:
-                            raise PoissonError(
-                                "Jacobi identity fails at (%d,%d,%d,%d)"
-                                % (i + 1, j + 1, k + 1, l + 1)
-                            )
+        rows: dict = {}  # i -> (j, k, c^{ij}_k) for each nonzero constant
+        for i, j, k in itertools.product(range(d), repeat=3):
+            if c[i][j][k] != -c[j][i][k]:
+                raise PoissonError("tensor must be antisymmetric in (i, j)")
+            if c[i][j][k]:
+                rows.setdefault(i, []).append((j, k, c[i][j][k]))
+        # Jacobi: J(i,j,k,l) = P(i,j,k,l) + P(j,k,i,l) + P(k,i,j,l) = 0 with
+        # P(i,j,k,l) = sum_m c^{ij}_m c^{mk}_l over nonzero constants.  J is
+        # invariant under rotating (i,j,k), so the least rotation of a failing
+        # key of P is the first failing index.
+        p = add_terms({}, (
+            ((i, j, k, l), x * y)
+            for i, row in rows.items() for j, mm, x in row for k, l, y in rows.get(mm, ())
+        ))
+        failing = [
+            min((i, j, k, l), (j, k, i, l), (k, i, j, l))
+            for i, j, k, l in p
+            if p[i, j, k, l] + p.get((j, k, i, l), 0) + p.get((k, i, j, l), 0)
+        ]
+        if failing:
+            first = "(%d,%d,%d,%d)" % tuple(t + 1 for t in min(failing))
+            raise PoissonError("Jacobi identity fails at " + first)
         return cls(d, "linear", c)
 
     @classmethod

@@ -9,13 +9,13 @@ applied to each raw graft of D_n before the graft is canonicalized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .algebra import (
     GraphVector,
     Keep,
     add_terms,
     bracket,
+    compose,
     differential,
     keeps_constant,
     keeps_linear,
@@ -49,13 +49,12 @@ def apply_projection(v: GraphVector, projection: str) -> GraphVector:
 class OrderReport:
     """Per-order diagnostics emitted by solve().
 
-    Every m_n has Lie degree 1, where the graded bracket is symmetric, so
+    The bracket is symmetric on m_n and m_0 (see ``_compositions``), so
     [m_n, m_0] = [m_0, m_n] = d m_n and the projected defect
     d m_n + [m_n, m_0] - 2 P(D_n) is 2 residual.  Hence ``lemma1_identity``
-    is constantly true and ``defect_terms`` (serialized as
-    ``"defect_norm"``) is ``len(residual)``.  The independent Lemma-1
-    check is ``lemma1_identity`` in this module (``graphdgla selftest
-    --only lemma1``).
+    is constantly true and ``defect_terms`` (serialized as ``"defect_norm"``)
+    is ``len(residual)``.  The independent Lemma-1 check is
+    ``lemma1_identity`` in this module (``graphdgla selftest --only lemma1``).
     """
 
     n: int
@@ -82,49 +81,49 @@ class OrderReport:
 class StarSeries:
     """Truncated star-product series; coeffs[n] is the order-n graph vector."""
 
-    order: int
     coeffs: list[GraphVector]
     projection: str = "none"
     sigma_normalization: str = "merger"
     reports: list[OrderReport] = field(default_factory=list)
 
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
 
 def initial_series(projection: str = "none", normalization: str = "merger") -> StarSeries:
-    return StarSeries(1, [vec(b0()), vec(b1())], projection, normalization)
+    return StarSeries([vec(b0()), vec(b1())], projection, normalization)
+
+
+def _compositions(series: StarSeries, n: int, lo: int, weight: int, keep: Keep = None):
+    """weight * sum_{j=lo}^{n-lo} m_j o m_{n-j}, each composition formed once.
+
+    Every m_j has Lie degree 1, so [m_j, m_k] = m_j o m_k + m_k o m_j and a
+    sum of brackets over ordered pairs is twice the sum of compositions.
+    """
+    if n - lo > series.order:
+        raise ValueError("missing lower-order coefficients for order %d" % n)
+    acc: dict = {}
+    for j in range(lo, n - lo + 1):
+        term = compose(series.coeffs[j], series.coeffs[n - j], keep).terms()
+        add_terms(acc, ((g, c * weight) for g, c in term))
+    return GraphVector(acc)
 
 
 def d_term(series: StarSeries, n: int, keep: Keep = None) -> GraphVector:
-    """D_n = -1/2 sum_{j+k=n, j,k>=1} [m_j, m_k]; zero for n=1.
+    """D_n = -sum_{j+k=n, j,k>=1} m_j o m_k = -1/2 sum [m_j, m_k]; zero for n=1.
 
-    Each distinct bracket is formed once, for j <= n/2.  Every coefficient
-    has m = 2 (Lie degree 1), where the graded bracket is symmetric, so the
-    mirrored entry [m_{n-j}, m_j] is the same vector and counts twice.
-    With ``keep`` a projection's test, the result is P(D_n): the brackets
+    With ``keep`` a projection's test, the result is P(D_n): the compositions
     drop the grafts P would kill before canonicalizing them.
     """
     if n < 0:
         raise ValueError("d_term defined for n >= 0")
-    if n - 1 > series.order:
-        raise ValueError("missing lower-order coefficients for D_%d" % n)
-    acc: dict = {}
-    for j in range(1, n // 2 + 1):
-        weight = Fraction(-1, 2) if 2 * j == n else -1  # a mirrored pair counts twice
-        br = bracket(series.coeffs[j], series.coeffs[n - j], keep)
-        add_terms(acc, ((g, c * weight) for g, c in br.terms()))
-    return GraphVector(acc)
+    return _compositions(series, n, 1, -1, keep)
 
 
 def defect(series: StarSeries, n: int) -> GraphVector:
-    """Order-n associativity defect sum_{i+j=n} [m_i, m_j] (no projection).
-
-    The terms with i, j >= 1 sum to -2 D_n; only the two edge terms
-    [m_0, m_n] and [m_n, m_0] are formed here.
-    """
-    m = series.coeffs
-    if n < 1:  # the single term [m_0, m_0], or the empty sum
-        return bracket(m[0], m[0]) if n == 0 else GraphVector()
-    mn = m[n]
-    return bracket(m[0], mn) + bracket(mn, m[0]) - d_term(series, n).scale(2)
+    """Order-n associativity defect 2 sum_{i+j=n} m_i o m_j (no projection)."""
+    return _compositions(series, n, 0, 2)
 
 
 def lemma1_identity(series: StarSeries, n: int) -> bool:
@@ -160,11 +159,11 @@ def solve(
 ) -> StarSeries:
     """Iterate m_n = P(sigma(D_n)) for 2 <= n <= N from m_0 = b0, m_1 = b1.
 
-    Each order forms each bracket of D_n once and projects only D_n.  P
+    Each order forms each composition of D_n once and projects only D_n.  P
     keeps or drops a graph by its internal in-degrees, which grafting fixes
     once a graft is made, and which sigma (a boundary merge), d = [b0, .]
     and [., m_0] (grafts of b0, which has no internal vertex) all preserve.
-    So the brackets of D_n drop each graft P kills before canonicalizing it,
+    So the compositions of D_n drop each graft P kills before canonicalizing it,
     m_n = sigma(P(D_n)), and d m_n is already projected.  Each order reports
     residual = d m_n - P(D_n); see ``OrderReport`` for why that is the whole
     projected defect.
@@ -180,7 +179,6 @@ def solve(
         dn = d_term(series, n, keep)
         mn = sigma(dn, sigma_normalization)
         series.coeffs.append(mn)
-        series.order = n
         series.reports.append(OrderReport(n, mn, differential(mn) - dn))
     return series
 

@@ -3,6 +3,7 @@ associativity defects over exact polynomial algebras."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,18 @@ def _heisenberg():
 
 
 HEISENBERG = _heisenberg()
+
+
+def dense_jacobi_failure(c):
+    """The dense d^5 Jacobi loop: the first failing (i, j, k, l)'s message."""
+    d = len(c)
+    for i, j, k, l in itertools.product(range(d), repeat=4):
+        if sum(
+            c[i][j][m] * c[m][k][l] + c[j][k][m] * c[m][i][l] + c[k][i][m] * c[m][j][l]
+            for m in range(d)
+        ):
+            return "Jacobi identity fails at (%d,%d,%d,%d)" % (i + 1, j + 1, k + 1, l + 1)
+    return None
 
 
 def moyal_term(alpha, u, v, n):
@@ -112,6 +125,35 @@ class TestPoissonStructure:
         t[2][0][0] = Fraction(-1)
         with pytest.raises(PoissonError):
             PoissonStructure.linear(t)
+
+    def test_linear_jacobi_matches_dense_oracle(self):
+        # random sparse antisymmetric tensors, d <= 4: the check over nonzero
+        # constants reports the same first failing index as the dense loop
+        rng = random.Random(5)
+        verdicts = []
+        for _ in range(300):
+            d = rng.randint(1, 4)
+            t = [[[0] * d for _ in range(d)] for _ in range(d)]
+            for _ in range(rng.randint(0, 4) if d > 1 else 0):
+                i, j = rng.sample(range(d), 2)
+                k, v = rng.randrange(d), rng.choice([-2, -1, 1, 2])
+                t[i][j][k], t[j][i][k] = v, -v
+            want = dense_jacobi_failure(t)
+            try:
+                PoissonStructure.linear(t)
+                got = None
+            except PoissonError as exc:
+                got = str(exc)
+            assert got == want
+            verdicts.append(want is None)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_linear_load_cost_follows_nonzero_constants(self):
+        # an empty d = 40 tensor: the dense Jacobi loop would take d^5 steps
+        start = time.perf_counter()
+        alpha = PoissonStructure.from_json_obj({"d": 40, "kind": "linear", "c": []})
+        assert alpha.d == 40
+        assert time.perf_counter() - start < 20
 
     def test_so3_entries(self):
         # entry() takes 0-based indices: entry(0, 1) is alpha^{12} = x3

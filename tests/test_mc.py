@@ -78,6 +78,17 @@ class TestSolve:
         with pytest.raises(ValueError):
             mc.solve(0)
 
+    def test_rejects_unknown_projection(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            mc.solve(2, "bogus")
+
+    def test_order_follows_coefficients(self):
+        # order is derived from coeffs, not a field kept in step by hand
+        assert "order" not in {f.name for f in dataclasses.fields(mc.StarSeries)}
+        assert mc.initial_series().order == 1
+        series = mc.solve(3)
+        assert series.order == len(series.coeffs) - 1 == 3
+
     def test_d_term_outside_sigma_domain(self, monkeypatch):
         # a one-vertex D_2 term lies outside sigma's domain
         monkeypatch.setattr(mc, "d_term", lambda series, n, *_: vec(mc.b1()))
@@ -103,6 +114,11 @@ class TestDefect:
         series = mc.solve(4, "constant")
         for n in range(5):
             assert project_constant(mc.defect(series, n)).is_zero
+
+    def test_past_series_order(self):
+        # defect_3 needs m_3, which solve(2) has not formed
+        with pytest.raises(ValueError, match="missing lower-order coefficients"):
+            mc.defect(mc.solve(2), 3)
 
 
 class TestLemma1Identity:
@@ -191,11 +207,12 @@ class TestProjectedGrafts:
 
 
 class TestBracketTable:
-    """solve and the public functions form each bracket once per order; the
-    sums over every ordered pair are the oracle."""
+    """solve and the public functions form each composition once per order;
+    the bracket sums over every ordered pair are the oracle."""
 
-    def test_matches_full_bracket_sums(self):
-        series = mc.solve(4)
+    @pytest.mark.parametrize("projection", mc.PROJECTIONS)
+    def test_matches_full_bracket_sums(self, projection):
+        series = mc.solve(4, projection)
         m = series.coeffs
         for n in range(5):
             full = [bracket(m[i], m[n - i]) for i in range(n + 1)]
