@@ -217,48 +217,68 @@ def _require_json(value, want: type, where: str):
 def _rational(value, where: str) -> Fraction:
     """A JSON number or numeric string as a Fraction; ``where`` names the field."""
     try:
-        return Fraction(str(value))
+        if type(value) in (int, float, str):  # not a boolean, null, array or object
+            return Fraction(str(value))
     except ZeroDivisionError:
         raise PoissonError(
             "%s = %s has a zero denominator" % (where, json.dumps(value))
         ) from None
+    except ValueError:
+        pass
+    raise PoissonError(
+        "%s must be a number or numeric string, got %s" % (where, json.dumps(value))
+    )
 
 
 @dataclass(frozen=True)
 class PoissonStructure:
-    """Constant antisymmetric matrix or linear structure-constant tensor."""
+    """A Poisson bivector on R^d, stored as its nonzero entries.
+
+    ``entries`` holds one ``(i, j, alpha^{ij})`` per nonzero alpha^{ij}, with
+    0-based ``i``, ``j`` in row-major order and alpha^{ij} a ``Poly``: a
+    constant for kind "constant", ``sum_k c^{ij}_k x_k`` for kind "linear".
+    """
 
     d: int
     kind: str  # "constant" | "linear"
-    data: tuple  # matrix alpha[i][j] or tensor c[i][j][k], all Fraction
+    entries: tuple  # ((i, j, Poly), ...)
 
     @classmethod
     def constant(cls, matrix: Sequence[Sequence]) -> "PoissonStructure":
+        """From the dense rows alpha[i][j] of an antisymmetric matrix."""
         d = len(matrix)
-        alpha = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        if any(len(row) != d for row in alpha):
-            raise PoissonError("matrix must be square")
-        for i in range(d):
-            for j in range(d):
-                if alpha[i][j] != -alpha[j][i]:
-                    raise PoissonError("matrix must be antisymmetric")
-        return cls(d, "constant", alpha)
+        alpha = [[Fraction(x) for x in row] for row in matrix]
+        for i, row in enumerate(alpha):
+            if len(row) != d:
+                raise PoissonError(
+                    '"alpha"[%d] has %d entries but "d" is %d' % (i, len(row), d))
+        for i, j in itertools.product(range(d), repeat=2):
+            if alpha[i][j] != -alpha[j][i]:
+                raise PoissonError(
+                    '"alpha"[%d][%d] = %s must be the negative of "alpha"[%d][%d] = %s'
+                    % (i, j, alpha[i][j], j, i, alpha[j][i]))
+        return cls(d, "constant", tuple(
+            (i, j, Poly.const(d, x))
+            for i, row in enumerate(alpha) for j, x in enumerate(row) if x
+        ))
 
     @classmethod
-    def linear(cls, tensor: Sequence[Sequence[Sequence]]) -> "PoissonStructure":
-        d = len(tensor)
-        c = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane)
-            for plane in tensor
-        )
-        if any(len(p) != d or any(len(r) != d for r in p) for p in c):
-            raise PoissonError("tensor must be d x d x d")
+    def linear(cls, d: int, constants: dict) -> "PoissonStructure":
+        """From the structure constants ``{(i, j, k): c^{ij}_k}``, 0-based, with
+        both orientations (i, j, k) and (j, i, k) of each nonzero constant."""
+        for key in constants:
+            if not all(0 <= t < d for t in key):
+                raise PoissonError("constant c%s has an index outside 0..%d" % (key, d - 1))
+        c = {key: Fraction(x) for key, x in sorted(constants.items()) if x}
         rows: dict = {}  # i -> (j, k, c^{ij}_k) for each nonzero constant
-        for i, j, k in itertools.product(range(d), repeat=3):
-            if c[i][j][k] != -c[j][i][k]:
-                raise PoissonError("tensor must be antisymmetric in (i, j)")
-            if c[i][j][k]:
-                rows.setdefault(i, []).append((j, k, c[i][j][k]))
+        alpha: dict = {}  # (i, j) -> {exponents of x_k: c^{ij}_k}
+        for (i, j, k), x in c.items():
+            if c.get((j, i, k), 0) != -x:
+                raise PoissonError(
+                    "c^{%d%d}_%d = %s must be the negative of c^{%d%d}_%d = %s"
+                    % (i + 1, j + 1, k + 1, x, j + 1, i + 1, k + 1, c.get((j, i, k), 0)))
+            rows.setdefault(i, []).append((j, k, x))
+            alpha.setdefault((i, j), {})[tuple(int(t == k) for t in range(d))] = x
         # Jacobi: J(i,j,k,l) = P(i,j,k,l) + P(j,k,i,l) + P(k,i,j,l) = 0 with
         # P(i,j,k,l) = sum_m c^{ij}_m c^{mk}_l over nonzero constants.  J is
         # invariant under rotating (i,j,k), so the least rotation of a failing
@@ -275,7 +295,8 @@ class PoissonStructure:
         if failing:
             first = "(%d,%d,%d,%d)" % tuple(t + 1 for t in min(failing))
             raise PoissonError("Jacobi identity fails at " + first)
-        return cls(d, "linear", c)
+        entries = tuple((i, j, Poly(d, terms)) for (i, j), terms in alpha.items())
+        return cls(d, "linear", entries)
 
     @classmethod
     def standard_symplectic(cls, d: int = 2) -> "PoissonStructure":
@@ -290,13 +311,10 @@ class PoissonStructure:
     @classmethod
     def so3(cls) -> "PoissonStructure":
         """Linear structure with c^{ij}_k the Levi-Civita symbol."""
-        eps = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
-        for i, j, k, v in (
-            (0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-            (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1),
-        ):
-            eps[i][j][k] = Fraction(v)
-        return cls.linear(eps)
+        return cls.linear(3, {
+            (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+            (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1,
+        })
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PoissonStructure":
@@ -312,33 +330,29 @@ class PoissonStructure:
                 rows = _require_json(obj["alpha"], list, '"alpha"')
                 if len(rows) != d:
                     raise PoissonError('"alpha" has %d rows but "d" is %d' % (len(rows), d))
-                where = '"alpha"[%d][%d]'
-                return cls.constant(
-                    [
-                        [
-                            _rational(x, where % (r, c))
-                            for c, x in enumerate(_require_json(row, list, '"alpha"[%d]' % r))
-                        ]
-                        for r, row in enumerate(rows)
-                    ]
-                )
+                return cls.constant([
+                    [_rational(x, '"alpha"[%d][%d]' % (r, c))
+                     for c, x in enumerate(_require_json(row, list, '"alpha"[%d]' % r))]
+                    for r, row in enumerate(rows)
+                ])
             if kind == "linear":
-                tensor = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-                setter: dict[tuple, int] = {}  # (i, j, k) -> position that set it
+                seen: dict[tuple, tuple] = {}  # (i, j, k) -> (position that set it, value)
                 for pos, entry in enumerate(_require_json(obj["c"], list, '"c"')):
                     _require_json(entry, dict, "entry c[%d]" % pos)
                     i, j, k = (_index(entry, name, pos, d) for name in "ijk")
                     val = _rational(entry["val"], 'entry c[%d]: "val"' % pos)
+                    if i == j and val:
+                        raise PoissonError('entry c[%d]: "i" = "j" needs "val" 0, got %s'
+                                           % (pos, json.dumps(entry["val"])))
                     for cell, value in (((i, j, k), val), ((j, i, k), -val)):
-                        first = setter.setdefault(cell, pos)
-                        a, b, c = cell
-                        if first != pos and tensor[a][b][c] != value:
+                        first, old = seen.setdefault(cell, (pos, value))
+                        if old != value:
+                            a, b, c = cell
                             raise PoissonError(
                                 "entries c[%d] and c[%d] conflict: c^{%d%d}_%d = %s and %s"
-                                % (first, pos, a + 1, b + 1, c + 1, tensor[a][b][c], value)
+                                % (first, pos, a + 1, b + 1, c + 1, old, value)
                             )
-                        tensor[a][b][c] = value
-                return cls.linear(tensor)
+                return cls.linear(d, {cell: value for cell, (_, value) in seen.items()})
             raise PoissonError("unknown kind %r" % kind)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, PoissonError):
@@ -353,23 +367,6 @@ class PoissonStructure:
             except json.JSONDecodeError as exc:
                 raise PoissonError("invalid JSON: %s" % exc) from exc
         return cls.from_json_obj(obj)
-
-    def entry(self, i: int, j: int) -> Poly:
-        """alpha^{ij} as a polynomial, 0-based indices."""
-        if self.kind == "constant":
-            return Poly.const(self.d, self.data[i][j])
-        d = self.d  # c^{ij}_k x_k: one monomial per k
-        monomials = (tuple(int(t == k) for t in range(d)) for k in range(d))
-        return Poly(d, dict(zip(monomials, self.data[i][j])))
-
-    def nonzero_entries(self) -> list[tuple[int, int, Poly]]:
-        out = []
-        for i in range(self.d):
-            for j in range(self.d):
-                p = self.entry(i, j)
-                if p:
-                    out.append((i, j, p))
-        return out
 
 
 # -- graph evaluation ------------------------------------------------------
@@ -422,7 +419,6 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
     edge assignments once; cached per (vector, structure).  Graphs that
     vanish for ``alpha.kind`` are skipped, but still count in ``arities``."""
     d = alpha.d
-    pairs = alpha.nonzero_entries()
     # a graph failing its structure's kind test differentiates some vertex
     # tensor past its polynomial degree, so every edge assignment of it is zero
     keep = PROJECTIONS[alpha.kind]
@@ -431,7 +427,7 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
         if not keep(g):
             continue
         m, n = g.m, g.n
-        for assign in itertools.product(pairs, repeat=n):
+        for assign in itertools.product(alpha.entries, repeat=n):
             derivs: list[list[int]] = [[] for _ in range(m + n)]
             for k, (i, j, _) in enumerate(assign):
                 a, b = g.targets[k]
@@ -522,7 +518,3 @@ def iter_monomials(d: int, degree: int) -> Iterator[Poly]:
             if sum(exps) == total:
                 yield Poly.monomial(d, exps)
 
-
-def monomials_up_to_degree(d: int, degree: int) -> list[Poly]:
-    """All monomials in d variables of total degree <= degree."""
-    return list(iter_monomials(d, degree))

@@ -241,6 +241,17 @@ class TestEvaluate:
             ({"d": 3, "kind": "linear", "c": {"i": 1}}, '"c" must be an array'),
             ({"d": 3, "kind": "linear", "c": [7]}, "entry c[0] must be an object"),
             ([1, 2], "the top level must be an object"),
+            ({"d": 2, "kind": "constant", "alpha": [[0, True], [-1, 0]]},
+             '"alpha"[0][1] must be a number or numeric string, got true'),
+            ({"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": None}]},
+             'entry c[0]: "val" must be a number or numeric string, got null'),
+            ({"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": [1]}]},
+             'entry c[0]: "val" must be a number or numeric string, got [1]'),
+            ({"d": 2, "kind": "constant", "alpha": [[0, 1], [-1]]},
+             '"alpha"[1] has 1 entries but "d" is 2'),
+            ({"d": 2, "kind": "constant", "alpha": [[1, 1], [-1, 0]]}, '"alpha"[0][0]'),
+            ({"d": 3, "kind": "linear", "c": [{"i": 1, "j": 1, "k": 2, "val": 1}]},
+             'entry c[0]: "i" = "j" needs "val" 0'),
         ],
     )
     def test_contradictory_poisson_file(self, capsys, tmp_path, obj, detail):

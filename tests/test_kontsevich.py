@@ -1,6 +1,7 @@
 """Graph evaluation as polydifferential operators, star products, and
 associativity defects over exact polynomial algebras."""
 import itertools
+import json
 import math
 import random
 import time
@@ -27,7 +28,7 @@ from graphdgla.kontsevich import (
     compile_vector,
     evaluate,
     evaluate_graph,
-    monomials_up_to_degree,
+    iter_monomials,
     star,
     star_series,
 )
@@ -43,14 +44,23 @@ RANK4 = PoissonStructure.constant([
 ])
 
 
-def _heisenberg():
-    """The nilpotent linear structure {x1, x2} = x3."""
-    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    c[0][1][2], c[1][0][2] = 1, -1
-    return PoissonStructure.linear(c)
+# the nilpotent linear structure {x1, x2} = x3
+HEISENBERG = PoissonStructure.linear(3, {(0, 1, 2): 1, (1, 0, 2): -1})
 
 
-HEISENBERG = _heisenberg()
+def nonzero_constants(c):
+    """The dense tensor c[i][j][k] as the ``{(i, j, k): c^{ij}_k}`` input of
+    ``PoissonStructure.linear``."""
+    return {
+        (i, j, k): x
+        for i, plane in enumerate(c) for j, row in enumerate(plane) for k, x in enumerate(row)
+        if x
+    }
+
+
+def entry(alpha, i, j):
+    """alpha^{ij} from ``alpha.entries``, 0-based; zero when it is not listed."""
+    return {(a, b): p for a, b, p in alpha.entries}.get((i, j), Poly.zero(alpha.d))
 
 
 def dense_jacobi_failure(c):
@@ -69,14 +79,13 @@ def moyal_term(alpha, u, v, n):
     """Independent direct implementation of the order-n Moyal coefficient
     (1/n!) sum alpha^{i1 j1}..alpha^{in jn} d_{i..}u d_{j..}v."""
     d = alpha.d
-    rows = [[alpha.entry(i, j) for j in range(d)] for i in range(d)]
+    rows = [[entry(alpha, i, j) for j in range(d)] for i in range(d)]
     total = Poly.zero(d)
     for idx in itertools.product(range(d), repeat=2 * n):
         iis, jjs = idx[:n], idx[n:]
         coeff = Fraction(1)
         for a, b in zip(iis, jjs):
-            entry = rows[a][b]
-            c = dict(entry.items()).get((0,) * d, Fraction(0))
+            c = dict(rows[a][b].items()).get((0,) * d, Fraction(0))
             coeff *= c
             if not coeff:
                 break
@@ -124,7 +133,7 @@ class TestPoissonStructure:
         t[0][2][0] = Fraction(1)
         t[2][0][0] = Fraction(-1)
         with pytest.raises(PoissonError):
-            PoissonStructure.linear(t)
+            PoissonStructure.linear(3, nonzero_constants(t))
 
     def test_linear_jacobi_matches_dense_oracle(self):
         # random sparse antisymmetric tensors, d <= 4: the check over nonzero
@@ -140,7 +149,7 @@ class TestPoissonStructure:
                 t[i][j][k], t[j][i][k] = v, -v
             want = dense_jacobi_failure(t)
             try:
-                PoissonStructure.linear(t)
+                PoissonStructure.linear(d, nonzero_constants(t))
                 got = None
             except PoissonError as exc:
                 got = str(exc)
@@ -148,20 +157,35 @@ class TestPoissonStructure:
             verdicts.append(want is None)
         assert any(verdicts) and not all(verdicts)
 
-    def test_linear_load_cost_follows_nonzero_constants(self):
-        # an empty d = 40 tensor: the dense Jacobi loop would take d^5 steps
+    def test_linear_load_cost_follows_nonzero_constants(self, tmp_path):
+        # so(3) embedded at d = 200: a dense d x d x d tensor would take
+        # minutes to build, and compiling its d^2 entries of d terms each longer
+        d = 200
+        path = tmp_path / "so3.json"
+        path.write_text(json.dumps({"d": d, "kind": "linear", "c": [
+            {"i": 1, "j": 2, "k": 3, "val": "1"},
+            {"i": 2, "j": 3, "k": 1, "val": "1"},
+            {"i": 3, "j": 1, "k": 2, "val": "1"},
+        ]}))
         start = time.perf_counter()
-        alpha = PoissonStructure.from_json_obj({"d": 40, "kind": "linear", "c": []})
-        assert alpha.d == 40
+        alpha = PoissonStructure.from_json_file(str(path))
+        x1, x2, x3 = (Poly.variable(d, i) for i in (1, 2, 3))
+        assert evaluate(b1(), alpha, [x1, x2]) == x3
         assert time.perf_counter() - start < 20
 
+    @pytest.mark.parametrize("key", [(0, 1, 3), (3, 0, 1), (0, -1, 2)])
+    def test_linear_rejects_index_out_of_range(self, key):
+        i, j, k = key
+        with pytest.raises(PoissonError, match="outside 0..2"):
+            PoissonStructure.linear(3, {(i, j, k): 1, (j, i, k): -1})
+
     def test_so3_entries(self):
-        # entry() takes 0-based indices: entry(0, 1) is alpha^{12} = x3
+        # entries are 0-based: entry(alpha, 0, 1) is alpha^{12} = x3
         alpha = PoissonStructure.so3()
-        assert alpha.entry(0, 1) == Poly.variable(3, 3)
-        assert alpha.entry(1, 2) == Poly.variable(3, 1)
-        assert alpha.entry(1, 0) == -Poly.variable(3, 3)
-        assert alpha.entry(0, 0).is_zero
+        assert entry(alpha, 0, 1) == Poly.variable(3, 3)
+        assert entry(alpha, 1, 2) == Poly.variable(3, 1)
+        assert entry(alpha, 1, 0) == -Poly.variable(3, 3)
+        assert entry(alpha, 0, 0).is_zero
 
     def test_json_round_trip(self):
         obj = {
@@ -174,7 +198,7 @@ class TestPoissonStructure:
             ],
         }
         alpha = PoissonStructure.from_json_obj(obj)
-        assert alpha.entry(0, 1) == PoissonStructure.so3().entry(0, 1)
+        assert entry(alpha, 0, 1) == entry(PoissonStructure.so3(), 0, 1)
 
     def test_json_accepts_consistent_repeats(self):
         # an entry may be repeated, or given again as its negated mirror
@@ -185,11 +209,18 @@ class TestPoissonStructure:
         ]}
         assert PoissonStructure.from_json_obj(obj) == HEISENBERG
 
+    def test_json_accepts_zero_diagonal_entry(self):
+        obj = {"d": 3, "kind": "linear", "c": [
+            {"i": 1, "j": 2, "k": 3, "val": 1},
+            {"i": 1, "j": 1, "k": 2, "val": 0},
+        ]}
+        assert PoissonStructure.from_json_obj(obj) == HEISENBERG
+
     def test_json_constant(self):
         alpha = PoissonStructure.from_json_obj(
             {"d": 2, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]}
         )
-        assert alpha.entry(0, 1) == Poly.const(2, 1)
+        assert entry(alpha, 0, 1) == Poly.const(2, 1)
 
     @pytest.mark.parametrize(
         "obj, message",
@@ -278,6 +309,38 @@ class TestPoissonStructure:
                 "entry c[0] must be an object, got an array",
             ),
             ([1, 2], "the top level must be an object, got an array"),
+            (
+                {"d": 2, "kind": "constant", "alpha": [[0, True], [-1, 0]]},
+                '"alpha"[0][1] must be a number or numeric string, got true',
+            ),
+            (
+                {"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": None}]},
+                'entry c[0]: "val" must be a number or numeric string, got null',
+            ),
+            (
+                {"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": [1]}]},
+                'entry c[0]: "val" must be a number or numeric string, got [1]',
+            ),
+            (
+                {"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": "one"}]},
+                'entry c[0]: "val" must be a number or numeric string, got "one"',
+            ),
+            (
+                {"d": 2, "kind": "constant", "alpha": [[0, 1], [-1]]},
+                '"alpha"[1] has 1 entries but "d" is 2',
+            ),
+            (
+                {"d": 2, "kind": "constant", "alpha": [[1, 1], [-1, 0]]},
+                '"alpha"[0][0] = 1 must be the negative of "alpha"[0][0] = 1',
+            ),
+            (
+                {"d": 2, "kind": "constant", "alpha": [[0, 1], [2, 0]]},
+                '"alpha"[0][1] = 1 must be the negative of "alpha"[1][0] = 2',
+            ),
+            (
+                {"d": 3, "kind": "linear", "c": [{"i": 1, "j": 1, "k": 2, "val": 1}]},
+                'entry c[0]: "i" = "j" needs "val" 0, got 1',
+            ),
         ],
     )
     def test_json_rejects_inconsistent_entries(self, obj, message):
@@ -326,7 +389,7 @@ class TestEvaluate:
         """t2R - t2L - c2 evaluates to zero for a Jacobi-valid linear
         structure: the evaluator's proxy for the quotient ideal."""
         alpha = PoissonStructure.so3()
-        corpus = monomials_up_to_degree(3, 2)
+        corpus = list(iter_monomials(3, 2))
         relation = vec(t2R()) - vec(t2L()) - vec(c2())
         for u in corpus:
             for v in corpus:
@@ -385,7 +448,7 @@ class TestAssociativityDefect:
     def test_constant_zero_through_order_2_sample(self):
         alpha = PoissonStructure.standard_symplectic(2)
         series = mc.solve(2, "constant")
-        corpus = monomials_up_to_degree(2, 2)
+        corpus = list(iter_monomials(2, 2))
         for u in corpus:
             for v in corpus:
                 for w in corpus:
@@ -413,7 +476,7 @@ class TestKernelConsistency:
 
 def test_monomial_corpus_size():
     # all monomials of total degree <= 3 in 2 variables: C(2+3,3) = 10
-    assert len(monomials_up_to_degree(2, 3)) == 10
+    assert len(list(iter_monomials(2, 3))) == 10
 
 
 # -- fold-with-+ reference implementations --------------------------------
@@ -447,7 +510,7 @@ def ref_multi_diff(p, indices):
 
 def ref_evaluate_graph(g, alpha, fs):
     d = alpha.d
-    pairs = alpha.nonzero_entries()
+    pairs = alpha.entries
     total = Poly.zero(d)
     m, n = g.m, g.n
     for assign in itertools.product(pairs, repeat=n):
@@ -542,13 +605,18 @@ class TestAccumulationOracle:
         assert Poly.parse("x1 - x1 + 2*x2 - x2 - x2", 2)._terms == {}
 
     def test_entry(self):
+        # alpha^{ij} = sum_k eps_{ijk} x_k, with eps the Levi-Civita symbol
         alpha = STRUCTURES["so3"]
         for i in range(3):
             for j in range(3):
                 want = Poly.zero(3)
                 for k in range(3):
-                    want = want + Poly.variable(3, k + 1) * alpha.data[i][j][k]
-                assert alpha.entry(i, j) == want
+                    eps = Fraction((i - j) * (j - k) * (k - i), 2)
+                    want = want + Poly.variable(3, k + 1) * eps
+                assert entry(alpha, i, j) == want
+        assert [(i, j) for i, j, _ in alpha.entries] == [
+            (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)
+        ]
 
 
 class TestCompiledOperator:
@@ -586,7 +654,7 @@ def ref_compile_vector(x, alpha):
     """``compile_vector`` without the kind filter: every graph's pairs^n
     edge assignments are walked."""
     d = alpha.d
-    pairs = alpha.nonzero_entries()
+    pairs = alpha.entries
     acc = {}
     for g, c in x.terms():
         m, n = g.m, g.n
