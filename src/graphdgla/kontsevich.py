@@ -4,17 +4,20 @@ Each internal vertex carries a copy of the Poisson tensor; its L and R edges
 act as partial derivatives (first and second index respectively) on their
 targets.  A graph vector is compiled once per structure into an ``Operator``
 (derivative multi-indices per boundary slot, with coefficient polynomials),
-which is then applied to each tuple of functions.  All arithmetic is exact;
-the deformation parameter is a formal truncation index.
+which is then applied to each tuple of functions on integer numerators over
+one common denominator.  All arithmetic is exact; the deformation parameter
+is a formal truncation index.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import json
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import GraphVector, add_terms, split_signed_terms
@@ -372,6 +375,49 @@ class PoissonStructure:
 # -- graph evaluation ------------------------------------------------------
 
 
+def _numerators(p: Poly, den: int) -> dict[tuple, int]:
+    """The numerators of ``p`` over ``den``, a multiple of its denominators."""
+    return {e: c.numerator * (den // c.denominator) for e, c in p._terms.items()}
+
+
+def _unscaled(d: int, den: int, numerators: dict[tuple, int]) -> Poly:
+    """``numerators / den`` as a Poly: one Fraction per nonzero monomial."""
+    return Poly(d, {e: Fraction(n, den) for e, n in numerators.items() if n})
+
+
+def _mul(p: dict, q: dict) -> dict:
+    """The product of two polynomials given as {exponents: int}."""
+    out: dict[tuple, int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+class _Scaled:
+    """A polynomial as integer numerators over one denominator ``den``, with
+    its partial derivatives cached per sorted multi-index."""
+
+    __slots__ = ("den", "_derived")
+
+    def __init__(self, p: Poly):
+        self.den = math.lcm(*(c.denominator for c in p._terms.values()))
+        self._derived = {(): _numerators(p, self.den)}
+
+    def derivative(self, idx: tuple) -> dict[tuple, int]:
+        """The numerators of d_{idx} p over ``den``; idx is 1-based."""
+        got = self._derived.get(idx)
+        if got is None:
+            k = idx[-1] - 1
+            got = self._derived[idx] = {
+                e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+                for e, c in self.derivative(idx[:-1]).items()
+                if e[k]
+            }
+        return got
+
+
 @dataclass(frozen=True)
 class Operator:
     """A graph vector compiled for one Poisson structure.
@@ -387,7 +433,17 @@ class Operator:
     arities: frozenset  # the boundary arity m of every compiled graph
     terms: tuple  # ((I_1, ..., I_m), Poly) pairs
 
-    def __call__(self, fs: Sequence[Poly]) -> Poly:
+    # the terms on integers, (L, ((key, {exponents: int}), ...)): one common
+    # denominator L of every coefficient, and each coefficient's numerators
+    scaled: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        den = math.lcm(*(c.denominator for _, p in self.terms for c in p._terms.values()))
+        numerators = tuple((key, _numerators(p, den)) for key, p in self.terms)
+        object.__setattr__(self, "scaled", (den, numerators))
+
+    def check(self, fs: Sequence[Poly]) -> None:
+        """Raise unless ``fs`` has one polynomial in x1..xd per boundary slot."""
         for m in sorted(self.arities):
             if len(fs) != m:
                 raise GraphError("need %d boundary functions, got %d" % (m, len(fs)))
@@ -397,20 +453,26 @@ class Operator:
                     raise ValueError(
                         "polynomial dimension %d != Poisson dimension %d" % (f.d, self.d)
                     )
-        # each slot is differentiated once per distinct multi-index
-        derived: list[dict[tuple, Poly]] = [{} for _ in fs]
-        acc: dict[tuple, Fraction] = {}
-        for key, term in self.terms:
-            for f, known, idx in zip(fs, derived, key):
-                factor = known.get(idx)
-                if factor is None:
-                    factor = known[idx] = f.multi_diff(idx)
-                if factor.is_zero:
+
+    def __call__(self, fs: Sequence[Poly]) -> Poly:
+        self.check(fs)
+        ins = [_Scaled(f) for f in fs]
+        acc: dict[tuple, int] = {}
+        self.add_into(acc, 1, ins)
+        return _unscaled(self.d, self.scaled[0] * math.prod(f.den for f in ins), acc)
+
+    def add_into(self, acc: dict, scale: int, ins: Sequence["_Scaled"]) -> None:
+        """Add ``scale * L * prod(f.den) * self(fs)``, an integer polynomial,
+        to ``acc``, for ``ins`` the scaled forms of ``fs``."""
+        for key, product in self.scaled[1]:
+            for f, idx in zip(ins, key):
+                factor = f.derivative(idx)
+                if not factor:
                     break
-                term = term * factor
+                product = _mul(product, factor)
             else:
-                add_terms(acc, term._terms.items())
-        return Poly(self.d, acc)
+                for e, c in product.items():
+                    acc[e] = acc.get(e, 0) + c * scale
 
 
 @functools.lru_cache(maxsize=256)
@@ -467,7 +529,7 @@ def evaluate(
 
 def star(series: StarSeries, alpha: PoissonStructure, u: Poly, v: Poly) -> list[Poly]:
     """Truncated series of u * v; index n holds the order-n coefficient."""
-    return [evaluate(series.coeffs[n], alpha, [u, v]) for n in range(series.order + 1)]
+    return star_series(series, alpha, [u], [v])
 
 
 def star_series(
@@ -477,20 +539,28 @@ def star_series(
     B: Sequence[Poly],
     N: Optional[int] = None,
 ) -> list[Poly]:
-    """Star product of two truncated series, truncated at order N."""
+    """Star product of two truncated series, truncated at order N.
+
+    Each order is summed on integers over one denominator, the lcm of its
+    contributions' denominators, and turned into a Poly at the end."""
     if N is None:
         N = series.order
-    acc: list[dict[tuple, Fraction]] = [{} for _ in range(N + 1)]
-    for p, ap in enumerate(A):
-        if ap.is_zero:
-            continue
-        for q, bq in enumerate(B):
-            if bq.is_zero or p + q > N:
-                continue
+    ops = [compile_vector(series.coeffs[r], alpha) for r in range(min(series.order, N) + 1)]
+    scaled_A = [(p, ap, _Scaled(ap)) for p, ap in enumerate(A) if ap]
+    scaled_B = [(q, bq, _Scaled(bq)) for q, bq in enumerate(B) if bq]
+    dens = [1] * (N + 1)
+    parts = []  # (order, denominator, operator, a, b) per contribution
+    for p, ap, a in scaled_A:
+        for q, bq, b in scaled_B:
             for r in range(min(series.order, N - p - q) + 1):
-                product = evaluate(series.coeffs[r], alpha, [ap, bq])
-                add_terms(acc[p + q + r], product._terms.items())
-    return [Poly(alpha.d, terms) for terms in acc]
+                ops[r].check((ap, bq))
+                den = ops[r].scaled[0] * a.den * b.den
+                dens[p + q + r] = math.lcm(dens[p + q + r], den)
+                parts.append((p + q + r, den, ops[r], a, b))
+    acc: list[dict[tuple, int]] = [{} for _ in range(N + 1)]
+    for k, den, op, a, b in parts:
+        op.add_into(acc[k], dens[k] // den, (a, b))
+    return [_unscaled(alpha.d, den, terms) for den, terms in zip(dens, acc)]
 
 
 def associativity_defect(
@@ -512,9 +582,20 @@ def associativity_defect(
 
 
 def iter_monomials(d: int, degree: int) -> Iterator[Poly]:
-    """The monomials in d variables of total degree <= degree, lazily."""
+    """The monomials in d variables of total degree <= degree, lazily: by
+    total degree, then in lexicographic order of the exponents."""
     for total in range(degree + 1):
-        for exps in itertools.product(range(total + 1), repeat=d):
-            if sum(exps) == total:
-                yield Poly.monomial(d, exps)
+        for exps in _compositions(total, d):
+            yield Poly.monomial(d, exps)
 
+
+def _compositions(total: int, d: int) -> Iterator[tuple]:
+    """The d-tuples of nonnegative integers summing to ``total``, in
+    lexicographic order."""
+    if d == 0:
+        if total == 0:
+            yield ()
+        return
+    for a in range(total + 1):
+        for rest in _compositions(total - a, d - 1):
+            yield (a,) + rest

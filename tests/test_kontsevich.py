@@ -479,6 +479,27 @@ def test_monomial_corpus_size():
     assert len(list(iter_monomials(2, 3))) == 10
 
 
+def ref_iter_monomials(d, degree):
+    """All (total+1)^d exponent tuples per total degree, filtered by their sum."""
+    for total in range(degree + 1):
+        for exps in itertools.product(range(total + 1), repeat=d):
+            if sum(exps) == total:
+                yield Poly.monomial(d, exps)
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_monomials_match_filter_oracle(d):
+    for degree in range(5):
+        assert list(iter_monomials(d, degree)) == list(ref_iter_monomials(d, degree))
+
+
+def test_monomials_cost_follows_their_number():
+    # the filter walks 4^14 tuples for degree 3; C(14+3, 3) = 680 are kept
+    start = time.perf_counter()
+    assert len(list(iter_monomials(14, 3))) == 680
+    assert time.perf_counter() - start < 5
+
+
 # -- fold-with-+ reference implementations --------------------------------
 # Poly arithmetic and evaluation as written before add_terms: each step adds
 # a one-monomial polynomial, or a whole term, with Poly.__add__.
@@ -675,6 +696,132 @@ def ref_compile_vector(x, alpha):
                 add_terms(acc.setdefault(key, {}), coeff._terms.items())
     terms = ((key, Poly(d, coeff)) for key, coeff in acc.items())
     return Operator(d, frozenset(g.m for g, _ in x.terms()), tuple(t for t in terms if t[1]))
+
+
+def ref_apply(op, fs):
+    """``Operator.__call__`` as a Fraction Poly product per term; each slot
+    is differentiated once per distinct multi-index."""
+    derived = [{} for _ in fs]
+    acc = {}
+    for key, term in op.terms:
+        for f, known, idx in zip(fs, derived, key):
+            factor = known.get(idx)
+            if factor is None:
+                factor = known[idx] = f.multi_diff(idx)
+            if factor.is_zero:
+                break
+            term = term * factor
+        else:
+            add_terms(acc, term._terms.items())
+    return Poly(op.d, acc)
+
+
+def ref_star_series(series, alpha, A, B, N=None):
+    """``star_series`` as a sum of ``ref_apply`` products, order by order."""
+    N = series.order if N is None else N
+    acc = [{} for _ in range(N + 1)]
+    for p, ap in enumerate(A):
+        for q, bq in enumerate(B):
+            if ap.is_zero or bq.is_zero:
+                continue
+            for r in range(min(series.order, N - p - q) + 1):
+                product = ref_apply(compile_vector(series.coeffs[r], alpha), [ap, bq])
+                add_terms(acc[p + q + r], product._terms.items())
+    return [Poly(alpha.d, terms) for terms in acc]
+
+
+def big_poly(rng, d, degree, size):
+    """Random monomials with numerators above 2^64 over denominators 1..7."""
+    terms = {}
+    for _ in range(size):
+        exps = tuple(rng.randint(0, degree) for _ in range(d))
+        numerator = rng.choice((-1, 1)) * rng.randint(2**64, 2**70)
+        terms[exps] = Fraction(numerator, rng.randint(1, 7))
+    return Poly(d, terms)
+
+
+def assert_fraction_coefficients(p):
+    assert all(type(c) is Fraction for _, c in p.items())
+
+
+class TestIntegerKernel:
+    """Operators applied on integer numerators, against ``ref_apply``."""
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_every_class_matches_ref_apply(self, name):
+        alpha = STRUCTURES[name]
+        rng = random.Random("kernel-" + name)
+        for m in (1, 2, 3):
+            for n in range(4):
+                fs = [random_poly(rng, alpha.d, 3, 3) for _ in range(m)]
+                for c in enumerate_classes(n, m):
+                    op = compile_vector(GraphVector.from_class(c), alpha)
+                    got = op(fs)
+                    assert got == ref_apply(op, fs), (n, c.graph)
+                    assert_fraction_coefficients(got)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_mixed_denominators_and_large_numerators(self, name):
+        alpha = STRUCTURES[name]
+        series = mc.solve(3, alpha.kind)
+        rng = random.Random("big-" + name)
+        for x in series.coeffs:
+            op = compile_vector(x, alpha)
+            fs = [big_poly(rng, alpha.d, 3, 4) for _ in range(2)]
+            got = op(fs)
+            assert got == ref_apply(op, fs)
+            assert_fraction_coefficients(got)
+
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
+    def test_zero_and_constant_inputs(self, name):
+        alpha = STRUCTURES[name]
+        d = alpha.d
+        u = random_poly(random.Random(name), d, 3, 4)
+        inputs = [
+            (Poly.zero(d), u), (u, Poly.zero(d)), (Poly.zero(d), Poly.zero(d)),
+            (Poly.const(d, Fraction(-5, 3)), u), (u, Poly.const(d, 7)),
+            (Poly.const(d, Fraction(1, 2)), Poly.const(d, Fraction(2, 7))),
+        ]
+        ops = [compile_vector(x, alpha) for x in mc.solve(3, alpha.kind).coeffs]
+        for op in ops:
+            for fs in inputs:
+                got = op(list(fs))
+                assert got == ref_apply(op, list(fs))
+                assert_fraction_coefficients(got)
+        # m_0 is the product
+        assert ops[0]([Poly.zero(d), u]).is_zero
+        assert ops[0]([u, Poly.const(d, 7)]) == u * 7
+
+    @pytest.mark.parametrize("N", [None, 1, 4])
+    def test_star_series_fractional_with_zero_entry(self, N):
+        series = mc.solve(3, "linear")
+        alpha = STRUCTURES["so3"]
+        rng = random.Random(7)
+        A = [big_poly(rng, 3, 2, 3), Poly.zero(3), random_poly(rng, 3, 2, 3)]
+        B = [random_poly(rng, 3, 2, 3), big_poly(rng, 3, 2, 2)]
+        got = star_series(series, alpha, A, B, N)
+        assert got == ref_star_series(series, alpha, A, B, N)
+        assert len(got) == (series.order if N is None else N) + 1
+        for p in got:
+            assert_fraction_coefficients(p)
+
+    def test_so3_order_4_defect(self):
+        series = mc.solve(4, "linear")
+        alpha = STRUCTURES["so3"]
+        rng = random.Random(11)
+        corpus = [Poly.variable(3, 1), random_poly(rng, 3, 2, 3), big_poly(rng, 3, 2, 2)]
+        nonzero = 0
+        for u, v, w in itertools.product(corpus, repeat=3):
+            got = associativity_defect(series, alpha, u, v, w)
+            uv = ref_star_series(series, alpha, [u], [v])
+            vw = ref_star_series(series, alpha, [v], [w])
+            left = ref_star_series(series, alpha, uv, [w])
+            right = ref_star_series(series, alpha, [u], vw)
+            assert got == [l - r for l, r in zip(left, right)]
+            for p in got:
+                assert_fraction_coefficients(p)
+            nonzero += any(got)
+        assert nonzero  # so(3) star products of the linear series are not associative
 
 
 class TestKindFilter:
