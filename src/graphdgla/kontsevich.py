@@ -32,14 +32,44 @@ class PoissonError(ValueError):
 # -- polynomials -----------------------------------------------------------
 
 
-class Poly:
-    """Multivariate polynomial over the rationals in x1..xd."""
+def _mul(p: dict, q: dict) -> dict:
+    """The product of two polynomials given as {exponents: int}."""
+    out: dict[tuple, int] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
-    __slots__ = ("d", "_terms")
+
+def _lowered(num: dict, k: int) -> dict:
+    """d/dx_{k+1} of the polynomial {exponents: int} ``num``, k 0-based.
+    Lowering one exponent is injective, so nothing adds up."""
+    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in num.items() if e[k]}
+
+
+class Poly:
+    """Multivariate polynomial over the rationals in x1..xd.
+
+    Stored as integer numerators ``num`` over one positive denominator
+    ``den``, in lowest terms: gcd(den, *num) = 1 and no numerator is zero.
+    """
+
+    __slots__ = ("d", "den", "num")
 
     def __init__(self, d: int, terms: Optional[dict[tuple, Fraction]] = None):
+        coeffs = {e: Fraction(c) for e, c in (terms or {}).items() if c}
         self.d = d
-        self._terms = {e: c for e, c in (terms or {}).items() if c}
+        self.den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.num = {e: c.numerator * (self.den // c.denominator) for e, c in coeffs.items()}
+
+    @classmethod
+    def over(cls, d: int, den: int, numerators: dict[tuple, int]) -> "Poly":
+        """``numerators / den`` for a positive ``den``, in lowest terms."""
+        g = math.gcd(den, *numerators.values())  # zero numerators leave g alone
+        p = cls.__new__(cls)
+        p.d, p.den, p.num = d, den // g, {e: c // g for e, c in numerators.items() if c}
+        return p
 
     @classmethod
     def zero(cls, d: int) -> "Poly":
@@ -47,8 +77,7 @@ class Poly:
 
     @classmethod
     def const(cls, d: int, c) -> "Poly":
-        c = Fraction(c)
-        return cls(d, {(0,) * d: c} if c else {})
+        return cls(d, {(0,) * d: c})
 
     @classmethod
     def variable(cls, d: int, i: int) -> "Poly":
@@ -57,31 +86,29 @@ class Poly:
             raise ValueError("variable index %d out of range" % i)
         exps = [0] * d
         exps[i - 1] = 1
-        return cls(d, {tuple(exps): Fraction(1)})
+        return cls(d, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, d: int, exps: Sequence[int], c=1) -> "Poly":
-        return cls(d, {tuple(exps): Fraction(c)})
+        return cls(d, {tuple(exps): c})
 
     def items(self):
-        return sorted(self._terms.items())
+        return sorted((e, Fraction(c, self.den)) for e, c in self.num.items())
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.d == other.d
-            and self._terms == other._terms
-        )
+        # lowest terms make (den, num) unique, so equal polynomials have equal fields
+        return isinstance(other, Poly) and (self.d, self.den, self.num) == (
+            other.d, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.d, frozenset(self._terms.items())))
+        return hash((self.d, self.den, frozenset(self.num.items())))
 
     def _check(self, other: "Poly") -> None:
         if self.d != other.d:
@@ -89,45 +116,32 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        return Poly(self.d, add_terms(dict(self._terms), other._terms.items()))
+        den = math.lcm(self.den, other.den)
+        scaled = ((e, c * (den // p.den)) for p in (self, other) for e, c in p.num.items())
+        return Poly.over(self.d, den, add_terms({}, scaled))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.d, {e: -c for e, c in self._terms.items()})
+        return Poly.over(self.d, self.den, {e: -c for e, c in self.num.items()})
 
     def __mul__(self, other: Union["Poly", int, Fraction]) -> "Poly":
         if not isinstance(other, Poly):
             k = Fraction(other)
-            return Poly(self.d, {e: c * k for e, c in self._terms.items()})
+            num = {e: c * k.numerator for e, c in self.num.items()}
+            return Poly.over(self.d, self.den * k.denominator, num)
         self._check(other)
-        products = (
-            (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-            for e1, c1 in self._terms.items()
-            for e2, c2 in other._terms.items()
-        )
-        return Poly(self.d, add_terms({}, products))
+        return Poly.over(self.d, self.den * other.den, _mul(self.num, other.num))
 
     __rmul__ = __mul__
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to x_i (1-based)."""
-        idx = i - 1  # lowering one exponent is injective, so nothing adds up
-        lowered = {
-            e[:idx] + (e[idx] - 1,) + e[idx + 1:]: c * e[idx]
-            for e, c in self._terms.items()
-            if e[idx]
-        }
-        return Poly(self.d, lowered)
+        return Poly.over(self.d, self.den, _lowered(self.num, i - 1))
 
     def multi_diff(self, indices: Iterable[int]) -> "Poly":
-        p = self
-        for i in indices:
-            if p.is_zero:
-                break
-            p = p.diff(i)
-        return p
+        return functools.reduce(Poly.diff, indices, self)
 
     # -- text form ---------------------------------------------------------
 
@@ -190,9 +204,29 @@ class Poly:
 # -- Poisson structures ----------------------------------------------------
 
 
+class _Literal(float):
+    """A JSON number with a fraction or an exponent: a float that keeps its
+    text, so that it converts to a Fraction exactly as written."""
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self.text = text
+        return self
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _field(obj: dict, name: str, where: str):
+    """``obj[name]``, or a PoissonError naming ``where`` and the missing field."""
+    if name not in obj:
+        raise PoissonError('%s: missing "%s"' % (where, name))
+    return obj[name]
+
+
 def _index(entry: dict, name: str, pos: int, d: int) -> int:
     """The 1-based index field ``name`` of linear entry ``c[pos]``, 0-based."""
-    value = entry[name]
+    value = _field(entry, name, "entry c[%d]" % pos)
     if type(value) is not int:  # a JSON integer; bool is a subclass of int
         raise PoissonError(
             'entry c[%d]: index "%s" must be an integer, got %s'
@@ -206,7 +240,7 @@ def _index(entry: dict, name: str, pos: int, d: int) -> int:
 
 
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-               int: "a number", float: "a number", type(None): "null"}
+               int: "a number", float: "a number", _Literal: "a number", type(None): "null"}
 
 
 def _require_json(value, want: type, where: str):
@@ -220,7 +254,7 @@ def _require_json(value, want: type, where: str):
 def _rational(value, where: str) -> Fraction:
     """A JSON number or numeric string as a Fraction; ``where`` names the field."""
     try:
-        if type(value) in (int, float, str):  # not a boolean, null, array or object
+        if type(value) in (int, float, _Literal, str):  # not a boolean, null, array or object
             return Fraction(str(value))
     except ZeroDivisionError:
         raise PoissonError(
@@ -323,14 +357,14 @@ class PoissonStructure:
     def from_json_obj(cls, obj: dict) -> "PoissonStructure":
         _require_json(obj, dict, "the top level")
         try:
-            d = obj["d"]
-            kind = obj["kind"]
+            d = _field(obj, "d", "the top level")
+            kind = _field(obj, "kind", "the top level")
             if type(d) is not int:  # a JSON integer; bool is a subclass of int
                 raise PoissonError('"d" must be an integer, got %s' % json.dumps(d))
             if d < 1:
                 raise PoissonError('"d" must be >= 1, got %d' % d)
             if kind == "constant":
-                rows = _require_json(obj["alpha"], list, '"alpha"')
+                rows = _require_json(_field(obj, "alpha", "the top level"), list, '"alpha"')
                 if len(rows) != d:
                     raise PoissonError('"alpha" has %d rows but "d" is %d' % (len(rows), d))
                 return cls.constant([
@@ -340,10 +374,12 @@ class PoissonStructure:
                 ])
             if kind == "linear":
                 seen: dict[tuple, tuple] = {}  # (i, j, k) -> (position that set it, value)
-                for pos, entry in enumerate(_require_json(obj["c"], list, '"c"')):
-                    _require_json(entry, dict, "entry c[%d]" % pos)
+                listed = _require_json(_field(obj, "c", "the top level"), list, '"c"')
+                for pos, entry in enumerate(listed):
+                    where = "entry c[%d]" % pos
+                    _require_json(entry, dict, where)
                     i, j, k = (_index(entry, name, pos, d) for name in "ijk")
-                    val = _rational(entry["val"], 'entry c[%d]: "val"' % pos)
+                    val = _rational(_field(entry, "val", where), where + ': "val"')
                     if i == j and val:
                         raise PoissonError('entry c[%d]: "i" = "j" needs "val" 0, got %s'
                                            % (pos, json.dumps(entry["val"])))
@@ -366,7 +402,7 @@ class PoissonStructure:
     def from_json_file(cls, path: str) -> "PoissonStructure":
         with open(path) as fh:
             try:
-                obj = json.load(fh)
+                obj = json.load(fh, parse_float=_Literal)
             except json.JSONDecodeError as exc:
                 raise PoissonError("invalid JSON: %s" % exc) from exc
         return cls.from_json_obj(obj)
@@ -375,46 +411,21 @@ class PoissonStructure:
 # -- graph evaluation ------------------------------------------------------
 
 
-def _numerators(p: Poly, den: int) -> dict[tuple, int]:
-    """The numerators of ``p`` over ``den``, a multiple of its denominators."""
-    return {e: c.numerator * (den // c.denominator) for e, c in p._terms.items()}
-
-
-def _unscaled(d: int, den: int, numerators: dict[tuple, int]) -> Poly:
-    """``numerators / den`` as a Poly: one Fraction per nonzero monomial."""
-    return Poly(d, {e: Fraction(n, den) for e, n in numerators.items() if n})
-
-
-def _mul(p: dict, q: dict) -> dict:
-    """The product of two polynomials given as {exponents: int}."""
-    out: dict[tuple, int] = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
 class _Scaled:
-    """A polynomial as integer numerators over one denominator ``den``, with
-    its partial derivatives cached per sorted multi-index."""
+    """A polynomial's numerators over its denominator ``den``, with its
+    partial derivatives cached per sorted multi-index."""
 
     __slots__ = ("den", "_derived")
 
     def __init__(self, p: Poly):
-        self.den = math.lcm(*(c.denominator for c in p._terms.values()))
-        self._derived = {(): _numerators(p, self.den)}
+        self.den = p.den
+        self._derived = {(): p.num}
 
     def derivative(self, idx: tuple) -> dict[tuple, int]:
         """The numerators of d_{idx} p over ``den``; idx is 1-based."""
         got = self._derived.get(idx)
         if got is None:
-            k = idx[-1] - 1
-            got = self._derived[idx] = {
-                e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
-                for e, c in self.derivative(idx[:-1]).items()
-                if e[k]
-            }
+            got = self._derived[idx] = _lowered(self.derivative(idx[:-1]), idx[-1] - 1)
         return got
 
 
@@ -433,14 +444,11 @@ class Operator:
     arities: frozenset  # the boundary arity m of every compiled graph
     terms: tuple  # ((I_1, ..., I_m), Poly) pairs
 
-    # the terms on integers, (L, ((key, {exponents: int}), ...)): one common
-    # denominator L of every coefficient, and each coefficient's numerators
-    scaled: tuple = field(init=False, repr=False, compare=False)
+    # the least common denominator L of every coefficient
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        den = math.lcm(*(c.denominator for _, p in self.terms for c in p._terms.values()))
-        numerators = tuple((key, _numerators(p, den)) for key, p in self.terms)
-        object.__setattr__(self, "scaled", (den, numerators))
+        object.__setattr__(self, "den", math.lcm(*(p.den for _, p in self.terms)))
 
     def check(self, fs: Sequence[Poly]) -> None:
         """Raise unless ``fs`` has one polynomial in x1..xd per boundary slot."""
@@ -459,20 +467,22 @@ class Operator:
         ins = [_Scaled(f) for f in fs]
         acc: dict[tuple, int] = {}
         self.add_into(acc, 1, ins)
-        return _unscaled(self.d, self.scaled[0] * math.prod(f.den for f in ins), acc)
+        return Poly.over(self.d, self.den * math.prod(f.den for f in ins), acc)
 
     def add_into(self, acc: dict, scale: int, ins: Sequence["_Scaled"]) -> None:
         """Add ``scale * L * prod(f.den) * self(fs)``, an integer polynomial,
         to ``acc``, for ``ins`` the scaled forms of ``fs``."""
-        for key, product in self.scaled[1]:
+        for key, p in self.terms:
+            product = p.num
             for f, idx in zip(ins, key):
                 factor = f.derivative(idx)
                 if not factor:
                     break
                 product = _mul(product, factor)
             else:
+                k = scale * (self.den // p.den)
                 for e, c in product.items():
-                    acc[e] = acc.get(e, 0) + c * scale
+                    acc[e] = acc.get(e, 0) + c * k
 
 
 @functools.lru_cache(maxsize=256)
@@ -484,7 +494,7 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
     # a graph failing its structure's kind test differentiates some vertex
     # tensor past its polynomial degree, so every edge assignment of it is zero
     keep = PROJECTIONS[alpha.kind]
-    acc: dict[tuple, dict[tuple, Fraction]] = {}
+    acc: dict[tuple, Poly] = {}
     for g, c in x.terms():
         if not keep(g):
             continue
@@ -503,9 +513,9 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
                 coeff = coeff * factor
             else:
                 key = tuple(tuple(sorted(derivs[s])) for s in range(m))
-                add_terms(acc.setdefault(key, {}), coeff._terms.items())
-    terms = ((key, Poly(d, coeff)) for key, coeff in acc.items())
-    return Operator(d, frozenset(g.m for g, _ in x.terms()), tuple(t for t in terms if t[1]))
+                acc[key] = acc[key] + coeff if key in acc else coeff
+    terms = tuple((key, p) for key, p in acc.items() if p)
+    return Operator(d, frozenset(g.m for g, _ in x.terms()), terms)
 
 
 def evaluate_graph(g: LabeledGraph, alpha: PoissonStructure, fs: Sequence[Poly]) -> Poly:
@@ -533,51 +543,39 @@ def star(series: StarSeries, alpha: PoissonStructure, u: Poly, v: Poly) -> list[
 
 
 def star_series(
-    series: StarSeries,
-    alpha: PoissonStructure,
-    A: Sequence[Poly],
-    B: Sequence[Poly],
-    N: Optional[int] = None,
+    series: StarSeries, alpha: PoissonStructure, A: Sequence[Poly], B: Sequence[Poly]
 ) -> list[Poly]:
-    """Star product of two truncated series, truncated at order N.
+    """Star product of two truncated series, truncated at the series' order.
 
     Each order is summed on integers over one denominator, the lcm of its
     contributions' denominators, and turned into a Poly at the end."""
-    if N is None:
-        N = series.order
-    ops = [compile_vector(series.coeffs[r], alpha) for r in range(min(series.order, N) + 1)]
+    N = series.order
+    ops = [compile_vector(x, alpha) for x in series.coeffs]
     scaled_A = [(p, ap, _Scaled(ap)) for p, ap in enumerate(A) if ap]
     scaled_B = [(q, bq, _Scaled(bq)) for q, bq in enumerate(B) if bq]
     dens = [1] * (N + 1)
     parts = []  # (order, denominator, operator, a, b) per contribution
     for p, ap, a in scaled_A:
         for q, bq, b in scaled_B:
-            for r in range(min(series.order, N - p - q) + 1):
+            for r in range(N - p - q + 1):
                 ops[r].check((ap, bq))
-                den = ops[r].scaled[0] * a.den * b.den
+                den = ops[r].den * a.den * b.den
                 dens[p + q + r] = math.lcm(dens[p + q + r], den)
                 parts.append((p + q + r, den, ops[r], a, b))
     acc: list[dict[tuple, int]] = [{} for _ in range(N + 1)]
     for k, den, op, a, b in parts:
         op.add_into(acc[k], dens[k] // den, (a, b))
-    return [_unscaled(alpha.d, den, terms) for den, terms in zip(dens, acc)]
+    return [Poly.over(alpha.d, den, terms) for den, terms in zip(dens, acc)]
 
 
 def associativity_defect(
-    series: StarSeries,
-    alpha: PoissonStructure,
-    u: Poly,
-    v: Poly,
-    w: Poly,
-    N: Optional[int] = None,
+    series: StarSeries, alpha: PoissonStructure, u: Poly, v: Poly, w: Poly
 ) -> list[Poly]:
-    """(u * v) * w - u * (v * w), truncated at order N."""
-    if N is None:
-        N = series.order
-    uv = star_series(series, alpha, [u], [v], N)
-    vw = star_series(series, alpha, [v], [w], N)
-    left = star_series(series, alpha, uv, [w], N)
-    right = star_series(series, alpha, [u], vw, N)
+    """(u * v) * w - u * (v * w), truncated at the series' order."""
+    uv = star_series(series, alpha, [u], [v])
+    vw = star_series(series, alpha, [v], [w])
+    left = star_series(series, alpha, uv, [w])
+    right = star_series(series, alpha, [u], vw)
     return [l - r for l, r in zip(left, right)]
 
 

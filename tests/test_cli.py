@@ -252,17 +252,40 @@ class TestEvaluate:
             ({"d": 2, "kind": "constant", "alpha": [[1, 1], [-1, 0]]}, '"alpha"[0][0]'),
             ({"d": 3, "kind": "linear", "c": [{"i": 1, "j": 1, "k": 2, "val": 1}]},
              'entry c[0]: "i" = "j" needs "val" 0'),
+            ({"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "val": 1}]},
+             'entry c[0]: missing "k"'),
+            ({"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3}]},
+             'entry c[0]: missing "val"'),
+            ({"d": 3, "kind": "linear"}, 'the top level: missing "c"'),
+            ({"kind": "linear", "c": []}, 'the top level: missing "d"'),
+            pytest.param(  # the text of the file, read exactly: not 0.3 as a float
+                '{"d": 2, "kind": "constant", "alpha": [[0, 0.30000000000000001], [-0.3, 0]]}',
+                '"alpha"[0][1] = 30000000000000001/100000000000000000 must be the negative'
+                ' of "alpha"[1][0] = -3/10',
+                id="inexact-float-literal",
+            ),
         ],
     )
     def test_contradictory_poisson_file(self, capsys, tmp_path, obj, detail):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj))
+        bad.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         code = main(["evaluate", "1 * G{m=2; v1=(b1,b2)}",
                      "--poisson", str(bad), "--functions", "x1;x2"])
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.startswith("error: bad Poisson file %s: " % bad)
         assert detail in captured.err and captured.err.count("\n") == 1
+
+
+    def test_poisson_file_numbers_read_exactly(self, capsys, tmp_path):
+        # a float would round alpha^{12} to 123456789012345680000000000000
+        path = tmp_path / "big.json"
+        path.write_text('{"d": 2, "kind": "constant", "alpha": [[0, 123456789012345678901234567890.5],'
+                        ' [-123456789012345678901234567890.5, 0]]}')
+        code, out = run(capsys, "evaluate", "G{m=2; v1=(b1,b2)}",
+                        "--poisson", str(path), "--functions", "x1;x2")
+        assert code == EXIT_OK
+        assert out == "246913578024691357802469135781/2\n"
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
