@@ -42,20 +42,15 @@ def _mul(p: dict, q: dict) -> dict:
     return out
 
 
-def _lowered(num: dict, k: int) -> dict:
-    """d/dx_{k+1} of the polynomial {exponents: int} ``num``, k 0-based.
-    Lowering one exponent is injective, so nothing adds up."""
-    return {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in num.items() if e[k]}
-
-
 class Poly:
     """Multivariate polynomial over the rationals in x1..xd.
 
     Stored as integer numerators ``num`` over one positive denominator
     ``den``, in lowest terms: gcd(den, *num) = 1 and no numerator is zero.
+    Partial derivatives are cached on first use, outside ``==`` and ``hash``.
     """
 
-    __slots__ = ("d", "den", "num")
+    __slots__ = ("d", "den", "num", "_derived")
 
     def __init__(self, d: int, terms: Optional[dict[tuple, Fraction]] = None):
         coeffs = {e: Fraction(c) for e, c in (terms or {}).items() if c}
@@ -136,12 +131,29 @@ class Poly:
 
     __rmul__ = __mul__
 
+    def _derivative(self, idx: tuple) -> dict[tuple, int]:
+        """The numerators of d_{idx} self over ``den``, for idx a sorted tuple
+        of 1-based indices; cached per idx, so callers must not mutate it."""
+        derived = getattr(self, "_derived", None)
+        if derived is None:
+            derived = self._derived = {(): self.num}
+        got = derived.get(idx)
+        if got is None:  # lower exponent k of d_{idx[:-1]}; injective, so nothing adds up
+            k = idx[-1] - 1
+            got = derived[idx] = {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k]
+                                  for e, c in self._derivative(idx[:-1]).items() if e[k]}
+        return got
+
     def diff(self, i: int) -> "Poly":
         """Partial derivative with respect to x_i (1-based)."""
-        return Poly.over(self.d, self.den, _lowered(self.num, i - 1))
+        return self.multi_diff((i,))
 
     def multi_diff(self, indices: Iterable[int]) -> "Poly":
-        return functools.reduce(Poly.diff, indices, self)
+        """d_{i_1} ... d_{i_k} of self, for 1-based indices."""
+        idx = tuple(sorted(indices))
+        if idx and not 1 <= idx[0] <= idx[-1] <= self.d:
+            raise ValueError("derivative index outside 1..%d in %s" % (self.d, idx))
+        return Poly.over(self.d, self.den, self._derivative(idx))
 
     # -- text form ---------------------------------------------------------
 
@@ -217,6 +229,11 @@ class _Literal(float):
         return self.text
 
 
+def _quote(value) -> str:
+    """``value`` as the file wrote it: a ``_Literal`` by its text, else as JSON."""
+    return value.text if type(value) is _Literal else json.dumps(value)
+
+
 def _field(obj: dict, name: str, where: str):
     """``obj[name]``, or a PoissonError naming ``where`` and the missing field."""
     if name not in obj:
@@ -230,7 +247,7 @@ def _index(entry: dict, name: str, pos: int, d: int) -> int:
     if type(value) is not int:  # a JSON integer; bool is a subclass of int
         raise PoissonError(
             'entry c[%d]: index "%s" must be an integer, got %s'
-            % (pos, name, json.dumps(value))
+            % (pos, name, _quote(value))
         )
     if not 1 <= value <= d:
         raise PoissonError(
@@ -258,12 +275,12 @@ def _rational(value, where: str) -> Fraction:
             return Fraction(str(value))
     except ZeroDivisionError:
         raise PoissonError(
-            "%s = %s has a zero denominator" % (where, json.dumps(value))
+            "%s = %s has a zero denominator" % (where, _quote(value))
         ) from None
     except ValueError:
         pass
     raise PoissonError(
-        "%s must be a number or numeric string, got %s" % (where, json.dumps(value))
+        "%s must be a number or numeric string, got %s" % (where, _quote(value))
     )
 
 
@@ -360,7 +377,7 @@ class PoissonStructure:
             d = _field(obj, "d", "the top level")
             kind = _field(obj, "kind", "the top level")
             if type(d) is not int:  # a JSON integer; bool is a subclass of int
-                raise PoissonError('"d" must be an integer, got %s' % json.dumps(d))
+                raise PoissonError('"d" must be an integer, got %s' % _quote(d))
             if d < 1:
                 raise PoissonError('"d" must be >= 1, got %d' % d)
             if kind == "constant":
@@ -382,7 +399,7 @@ class PoissonStructure:
                     val = _rational(_field(entry, "val", where), where + ': "val"')
                     if i == j and val:
                         raise PoissonError('entry c[%d]: "i" = "j" needs "val" 0, got %s'
-                                           % (pos, json.dumps(entry["val"])))
+                                           % (pos, _quote(entry["val"])))
                     for cell, value in (((i, j, k), val), ((j, i, k), -val)):
                         first, old = seen.setdefault(cell, (pos, value))
                         if old != value:
@@ -409,24 +426,6 @@ class PoissonStructure:
 
 
 # -- graph evaluation ------------------------------------------------------
-
-
-class _Scaled:
-    """A polynomial's numerators over its denominator ``den``, with its
-    partial derivatives cached per sorted multi-index."""
-
-    __slots__ = ("den", "_derived")
-
-    def __init__(self, p: Poly):
-        self.den = p.den
-        self._derived = {(): p.num}
-
-    def derivative(self, idx: tuple) -> dict[tuple, int]:
-        """The numerators of d_{idx} p over ``den``; idx is 1-based."""
-        got = self._derived.get(idx)
-        if got is None:
-            got = self._derived[idx] = _lowered(self.derivative(idx[:-1]), idx[-1] - 1)
-        return got
 
 
 @dataclass(frozen=True)
@@ -464,18 +463,16 @@ class Operator:
 
     def __call__(self, fs: Sequence[Poly]) -> Poly:
         self.check(fs)
-        ins = [_Scaled(f) for f in fs]
         acc: dict[tuple, int] = {}
-        self.add_into(acc, 1, ins)
-        return Poly.over(self.d, self.den * math.prod(f.den for f in ins), acc)
+        self.add_into(acc, 1, fs)
+        return Poly.over(self.d, self.den * math.prod(f.den for f in fs), acc)
 
-    def add_into(self, acc: dict, scale: int, ins: Sequence["_Scaled"]) -> None:
-        """Add ``scale * L * prod(f.den) * self(fs)``, an integer polynomial,
-        to ``acc``, for ``ins`` the scaled forms of ``fs``."""
+    def add_into(self, acc: dict, scale: int, fs: Sequence[Poly]) -> None:
+        """Add the integer polynomial ``scale * L * prod(f.den) * self(fs)`` to ``acc``."""
         for key, p in self.terms:
             product = p.num
-            for f, idx in zip(ins, key):
-                factor = f.derivative(idx)
+            for f, idx in zip(fs, key):
+                factor = f._derivative(idx)
                 if not factor:
                     break
                 product = _mul(product, factor)
@@ -494,10 +491,12 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
     # a graph failing its structure's kind test differentiates some vertex
     # tensor past its polynomial degree, so every edge assignment of it is zero
     keep = PROJECTIONS[alpha.kind]
-    acc: dict[tuple, Poly] = {}
-    for g, c in x.terms():
-        if not keep(g):
-            continue
+    kept = [(g, c) for g, c in x.terms() if keep(g)]
+    # a common multiple of every assignment's c.denominator * prod(entry dens)
+    entry_den = math.lcm(*(p.den for _, _, p in alpha.entries))
+    den = math.lcm(*(c.denominator * entry_den ** g.n for g, c in kept))
+    acc: dict[tuple, dict[tuple, int]] = {}
+    for g, c in kept:
         m, n = g.m, g.n
         for assign in itertools.product(alpha.entries, repeat=n):
             derivs: list[list[int]] = [[] for _ in range(m + n)]
@@ -505,16 +504,18 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
                 a, b = g.targets[k]
                 derivs[a].append(i + 1)
                 derivs[b].append(j + 1)
-            coeff = Poly.const(d, c)
+            product, product_den = {(0,) * d: 1}, c.denominator
             for k, (_, _, p) in enumerate(assign):
-                factor = p.multi_diff(derivs[m + k])
-                if factor.is_zero:
+                factor = p._derivative(tuple(sorted(derivs[m + k])))
+                if not factor:
                     break
-                coeff = coeff * factor
+                product = _mul(product, factor)
+                product_den *= p.den
             else:
                 key = tuple(tuple(sorted(derivs[s])) for s in range(m))
-                acc[key] = acc[key] + coeff if key in acc else coeff
-    terms = tuple((key, p) for key, p in acc.items() if p)
+                k = c.numerator * (den // product_den)
+                add_terms(acc.setdefault(key, {}), ((e, v * k) for e, v in product.items()))
+    terms = tuple((key, p) for key, num in acc.items() if (p := Poly.over(d, den, num)))
     return Operator(d, frozenset(g.m for g, _ in x.terms()), terms)
 
 
@@ -551,14 +552,12 @@ def star_series(
     contributions' denominators, and turned into a Poly at the end."""
     N = series.order
     ops = [compile_vector(x, alpha) for x in series.coeffs]
-    scaled_A = [(p, ap, _Scaled(ap)) for p, ap in enumerate(A) if ap]
-    scaled_B = [(q, bq, _Scaled(bq)) for q, bq in enumerate(B) if bq]
     dens = [1] * (N + 1)
     parts = []  # (order, denominator, operator, a, b) per contribution
-    for p, ap, a in scaled_A:
-        for q, bq, b in scaled_B:
-            for r in range(N - p - q + 1):
-                ops[r].check((ap, bq))
+    for p, a in enumerate(A):
+        for q, b in enumerate(B):
+            for r in range(N - p - q + 1) if a and b else ():
+                ops[r].check((a, b))
                 den = ops[r].den * a.den * b.den
                 dens[p + q + r] = math.lcm(dens[p + q + r], den)
                 parts.append((p + q + r, den, ops[r], a, b))

@@ -258,6 +258,18 @@ class TestEvaluate:
              'entry c[0]: missing "val"'),
             ({"d": 3, "kind": "linear"}, 'the top level: missing "c"'),
             ({"kind": "linear", "c": []}, 'the top level: missing "d"'),
+            pytest.param(  # quoted as written, not as the float 1.2345678901234568e+29
+                '{"d": 123456789012345678901234567890.5, "kind": "constant", "alpha": []}',
+                '"d" must be an integer, got 123456789012345678901234567890.5',
+                id="big-float-d",
+            ),
+            pytest.param('{"d": 1e1, "kind": "constant", "alpha": []}',
+                         '"d" must be an integer, got 1e1', id="exponent-d"),
+            pytest.param(  # not Infinity
+                '{"d": 3, "kind": "linear", "c": [{"i": 1, "j": 1, "k": 2, "val": 1e400}]}',
+                'entry c[0]: "i" = "j" needs "val" 0, got 1e400',
+                id="overflowing-val",
+            ),
             pytest.param(  # the text of the file, read exactly: not 0.3 as a float
                 '{"d": 2, "kind": "constant", "alpha": [[0, 0.30000000000000001], [-0.3, 0]]}',
                 '"alpha"[0][1] = 30000000000000001/100000000000000000 must be the negative'

@@ -47,6 +47,13 @@ RANK4 = PoissonStructure.constant([
 # the nilpotent linear structure {x1, x2} = x3
 HEISENBERG = PoissonStructure.linear(3, {(0, 1, 2): 1, (1, 0, 2): -1})
 
+# {x1, x2} = x2/2 plus {x3, x4} = 2*x4/3: a direct sum, so Jacobi holds, with
+# constants over different denominators
+FRACTIONAL = PoissonStructure.linear(4, {
+    (0, 1, 1): Fraction(1, 2), (1, 0, 1): Fraction(-1, 2),
+    (2, 3, 3): Fraction(2, 3), (3, 2, 3): Fraction(-2, 3),
+})
+
 
 def nonzero_constants(c):
     """The dense tensor c[i][j][k] as the ``{(i, j, k): c^{ij}_k}`` input of
@@ -108,6 +115,14 @@ class TestPoly:
         p = Poly.parse("x1^3*x2", 2)
         assert p.diff(1) == Poly.parse("3*x1^2*x2", 2)
         assert p.diff(2) == Poly.parse("x1^3", 2)
+
+    def test_diff_rejects_index_out_of_range(self):
+        p = Poly.parse("x1^2*x2 + x2^3", 2)
+        for bad in (lambda: p.diff(0), lambda: p.diff(3), lambda: p.multi_diff([2, 0]),
+                    lambda: p.multi_diff([1, 3]), lambda: p.diff(-1)):
+            with pytest.raises(ValueError):
+                bad()
+        assert p.multi_diff([]) == p
 
     def test_parse_str_round_trip(self):
         for text in ["3/2*x1^2*x3 - x2", "x1*x2 + 5", "-7/3*x2^4"]:
@@ -215,6 +230,40 @@ class TestIntegerPoly:
         zero = Poly.over(2, 12, {(1, 0): 0, (0, 1): 0})
         assert_lowest_terms(zero)
         assert zero == Poly.zero(2) and zero.den == 1
+
+    def multi_indices(self, rng, d):
+        return [[rng.randint(1, d) for _ in range(rng.randint(0, 4))] for _ in range(8)]
+
+    def test_warm_cache_in_any_index_order(self):
+        for rng, d, p, _ in self.cases():
+            P = Poly(d, p)
+            indices = self.multi_indices(rng, d)
+            for idx in indices:
+                P.multi_diff(idx)  # warm the cache in the drawn order
+            for idx in indices:
+                rng.shuffle(idx)
+                want = p
+                for i in idx:
+                    want = frac_diff(want, i)
+                self.check(P.multi_diff(idx), want)
+
+    def test_warm_cache_leaves_equality_and_hash(self):
+        for rng, d, p, _ in self.cases():
+            P, cold = Poly(d, p), Poly(d, p)
+            before = hash(P)
+            for idx in self.multi_indices(rng, d):
+                P.multi_diff(idx)
+            assert P == cold and cold == P
+            assert hash(P) == before == hash(cold)
+
+    def test_warm_diff_matches_fresh_poly(self):
+        for rng, d, p, _ in self.cases():
+            P = Poly(d, p)
+            for idx in self.multi_indices(rng, d):
+                P.multi_diff(idx)
+            for i in range(1, d + 1):
+                assert P.diff(i) == Poly(d, p).diff(i)
+                assert P.diff(i).diff(i) == Poly(d, p).diff(i).diff(i)
 
     def test_equality_and_hash_agree(self):
         polys = [Poly(d, p) for _, d, p, _ in self.cases()]
@@ -686,6 +735,7 @@ STRUCTURES = {
     "rank4": RANK4,
     "so3": PoissonStructure.so3(),
     "heisenberg": HEISENBERG,
+    "fractional": FRACTIONAL,
 }
 
 
@@ -943,7 +993,8 @@ class TestIntegerKernel:
 class TestKindFilter:
     """compile_vector skips the graphs that vanish for the structure's kind."""
 
-    CASES = [("so3", keeps_linear), ("symplectic", keeps_constant)]
+    CASES = [("so3", keeps_linear), ("symplectic", keeps_constant),
+             ("fractional", keeps_linear)]
 
     @pytest.mark.parametrize("name, keep", CASES)
     def test_same_operator_as_unfiltered_walk(self, name, keep):
