@@ -254,62 +254,63 @@ def _reattachments(f: LabeledGraph, i: int, g: LabeledGraph) -> Iterator[Labeled
 Keep = Optional[Callable[[LabeledGraph], bool]]
 
 
-def insert(f: GraphVector, i: int, g: GraphVector, keep: Keep = None) -> GraphVector:
-    """The operation f o_i g, extended bilinearly.
+def grafts(slots: Iterable[tuple], g: GraphVector, keep: Keep = None) -> Iterator[tuple]:
+    """(class, c * cg) for every graft of each term cg * gg of ``g`` into slot
+    i of gf, over the (gf, i, c) in ``slots``: the one place grafts are made.
 
     ``keep``, if given, is tested on each raw graft before ``canonicalize``
-    and the grafts it rejects are dropped.  It must not depend on the
-    labelling; a projection's ``keeps_*`` test gives P(f o_i g).
+    and drops the grafts it rejects.  It must not depend on the labelling; a
+    projection's ``keeps_*`` test gives the projected sum.
     """
-
-    def grafts():
-        for gf, cf in f:
-            if not 1 <= i <= gf.m:
-                raise GraphError(
-                    "insertion position %d out of range for m=%d" % (i, gf.m)
-                )
-            for gg, cg in g.terms():
-                coeff = cf * cg
-                for raw in _reattachments(gf, i, gg):
-                    if keep is None or keep(raw):
-                        yield canonicalize(raw), coeff
-
-    return GraphVector.combine(grafts())
+    for gf, i, c in slots:
+        if not 1 <= i <= gf.m:
+            raise GraphError("insertion position %d out of range for m=%d" % (i, gf.m))
+        for gg, cg in g.terms():
+            coeff = c * cg
+            for raw in _reattachments(gf, i, gg):
+                if keep is None or keep(raw):
+                    yield canonicalize(raw), coeff
 
 
-def compose(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
-    """Pre-Lie product: sum of insertions with the Gerstenhaber sign.
-
-    ``keep`` filters the raw grafts as in ``insert``.
-    """
+def compose_terms(f: GraphVector, g: GraphVector, keep: Keep = None, sign: int = 1):
+    """The grafts of sign * (f o g): every slot i of every term of ``f``, in
+    storage order, with the Gerstenhaber sign (-1)^{(i-1)|g|}."""
     if f.is_zero or g.is_zero:
-        return GraphVector()
+        return iter(())
     deg_g = g.lie_degree()
     if deg_g is None:
         raise GraphError("right factor of compose must be m-homogeneous")
-    acc: dict[LabeledGraph, Fraction] = {}
-    for gf, cf in f.terms():
-        fv = GraphVector({gf: cf})
-        for i in range(1, gf.m + 1):
-            term = insert(fv, i, g, keep).terms()
-            if ((i - 1) * deg_g) % 2:
-                term = ((h, -c) for h, c in term)
-            add_terms(acc, term)
-    return GraphVector(acc)
+    signs = (sign, -sign if deg_g % 2 else sign)
+    slots = (
+        (gf, i, cf * signs[(i - 1) % 2]) for gf, cf in f.terms() for i in range(1, gf.m + 1)
+    )
+    return grafts(slots, g, keep)
+
+
+def insert(f: GraphVector, i: int, g: GraphVector, keep: Keep = None) -> GraphVector:
+    """The operation f o_i g, extended bilinearly; ``keep`` as in ``grafts``."""
+    return GraphVector.combine(grafts(((gf, i, cf) for gf, cf in f), g, keep))
+
+
+def compose(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
+    """Pre-Lie product f o g; ``keep`` as in ``grafts``."""
+    return GraphVector.combine(compose_terms(f, g, keep))
 
 
 def bracket(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
     """Graded Lie bracket [f, g] = f o g - (-1)^{|f||g|} g o f.
 
-    ``keep`` filters the raw grafts as in ``insert``.
+    ``keep`` filters the raw grafts as in ``grafts``.
     """
     if f.is_zero or g.is_zero:
         return GraphVector()
     df, dg = f.lie_degree(), g.lie_degree()
     if df is None or dg is None:
         raise GraphError("bracket requires m-homogeneous arguments")
-    fg, gf = compose(f, g, keep), compose(g, f, keep)
-    return fg - gf if (df * dg) % 2 == 0 else fg + gf
+    sign = 1 if (df * dg) % 2 else -1
+    return GraphVector.combine(
+        itertools.chain(compose_terms(f, g, keep), compose_terms(g, f, keep, sign))
+    )
 
 
 _B0_VEC = vec(b0())
@@ -317,8 +318,6 @@ _B0_VEC = vec(b0())
 
 def differential(f: GraphVector) -> GraphVector:
     """The pointed differential ad(b0); raises m by one, preserves n."""
-    if f.is_zero:
-        return GraphVector()
     return bracket(_B0_VEC, f)
 
 
@@ -368,6 +367,12 @@ def keeps_constant(g: LabeledGraph) -> bool:
 def keeps_linear(g: LabeledGraph) -> bool:
     """The linear projection's test: every internal in-degree is <= 1."""
     return all(d <= 1 for d in g.internal_in_degrees())
+
+
+# Each projection's test on a graph; None keeps every graph.
+PROJECTIONS: dict[str, Keep] = {
+    "none": None, "constant": keeps_constant, "linear": keeps_linear,
+}
 
 
 def project(f: GraphVector, keep: Callable[[LabeledGraph], bool]) -> GraphVector:
@@ -468,9 +473,9 @@ def curly(f: GraphVector, g: GraphVector) -> GraphVector:
     for v in (f, g):
         if any(gr.m != 2 for gr, _ in v):
             raise GraphError("curly bracket requires m=2 terms")
-    if f.is_zero or g.is_zero:
-        return GraphVector()
-    return insert(f, 1, g) - insert(g, 2, f)
+    return GraphVector.combine(itertools.chain(
+        grafts(((h, 1, c) for h, c in f), g), grafts(((h, 2, -c) for h, c in g), f)
+    ))
 
 
 # -- index-triple codifferential ------------------------------------------

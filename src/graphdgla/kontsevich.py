@@ -20,9 +20,9 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .algebra import GraphVector, add_terms, split_signed_terms
+from .algebra import PROJECTIONS, GraphVector, add_terms, split_signed_terms
 from .graphs import GraphError, LabeledGraph, SignedGraphClass
-from .mc import PROJECTIONS, StarSeries
+from .mc import StarSeries
 
 
 class PoissonError(ValueError):
@@ -230,7 +230,11 @@ class _Literal(float):
 
 
 def _quote(value) -> str:
-    """``value`` as the file wrote it: a ``_Literal`` by its text, else as JSON."""
+    """``value`` as the file wrote it: each ``_Literal`` by its text, the rest as JSON."""
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ", ".join(map(_quote, value))
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join(json.dumps(k) + ": " + _quote(v) for k, v in value.items())
     return value.text if type(value) is _Literal else json.dumps(value)
 
 
@@ -409,7 +413,7 @@ class PoissonStructure:
                                 % (first, pos, a + 1, b + 1, c + 1, old, value)
                             )
                 return cls.linear(d, {cell: value for cell, (_, value) in seen.items()})
-            raise PoissonError("unknown kind %r" % kind)
+            raise PoissonError("unknown kind %s" % _quote(kind))
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, PoissonError):
                 raise

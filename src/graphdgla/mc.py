@@ -8,29 +8,21 @@ applied to each raw graft of D_n before the graft is canonicalized.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .algebra import (
+    PROJECTIONS,
     GraphVector,
     Keep,
-    add_terms,
     bracket,
-    compose,
+    compose_terms,
     differential,
-    keeps_constant,
-    keeps_linear,
     project,
     sigma,
     vec,
 )
 from .graphs import b0, b1
-
-# Each projection's test on a graph; None keeps every graph.
-PROJECTIONS: dict[str, Keep] = {
-    "none": None,
-    "constant": keeps_constant,
-    "linear": keeps_linear,
-}
 
 
 def projection_test(projection: str) -> Keep:
@@ -103,11 +95,9 @@ def _compositions(series: StarSeries, n: int, lo: int, weight: int, keep: Keep =
     """
     if n - lo > series.order:
         raise ValueError("missing lower-order coefficients for order %d" % n)
-    acc: dict = {}
-    for j in range(lo, n - lo + 1):
-        term = compose(series.coeffs[j], series.coeffs[n - j], keep).terms()
-        add_terms(acc, ((g, c * weight) for g, c in term))
-    return GraphVector(acc)
+    m = series.coeffs
+    terms = (compose_terms(m[j], m[n - j], keep, weight) for j in range(lo, n - lo + 1))
+    return GraphVector.combine(itertools.chain.from_iterable(terms))
 
 
 def d_term(series: StarSeries, n: int, keep: Keep = None) -> GraphVector:

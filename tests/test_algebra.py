@@ -24,6 +24,8 @@ from graphdgla.algebra import (
     expand_wedge_basis,
     gamma_basis_element,
     insert,
+    keeps_constant,
+    keeps_linear,
     project_constant,
     project_linear,
     reconstruct_wedge_basis,
@@ -383,6 +385,11 @@ def ref_compose(f, g):
     return total
 
 
+def ref_bracket(f, g):
+    fg, gf = ref_compose(f, g), ref_compose(g, f)
+    return fg + gf if (f.lie_degree() * g.lie_degree()) % 2 else fg - gf
+
+
 def ref_sigma(f, normalization="merger"):
     acc = GraphVector()
     for g, c in f:
@@ -461,6 +468,36 @@ class TestAccumulationOracle:
             if g.is_zero:
                 continue
             assert compose(f, g) == ref_compose(f, g)
+
+    # Lie degree m - 1: even.even, even.odd, odd.even and odd.odd
+    @pytest.mark.parametrize("mf, mg", [(1, 3), (3, 3), (1, 2), (2, 3), (2, 2)])
+    def test_bracket(self, mf, mg):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            f = random_vector(rng, classes((0, 1, 2), (mf,)), 3)
+            g = random_vector(rng, classes((0, 1, 2), (mg,)), 3)
+            if f.is_zero or g.is_zero:
+                continue
+            assert bracket(f, g) == ref_bracket(f, g)
+
+    def test_curly(self):
+        pool = classes((0, 1, 2), (2,))
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            f, g = random_vector(rng, pool, 4), random_vector(rng, pool, 4)
+            assert curly(f, g) == ref_insert(f, 1, g) - ref_insert(g, 2, f)
+
+    @pytest.mark.parametrize(
+        "keep, proj", [(keeps_constant, project_constant), (keeps_linear, project_linear)]
+    )
+    def test_keep_filtered_compose(self, keep, proj):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            f = random_vector(rng, classes((1, 2), (1, 2, 3)), 4)
+            g = random_vector(rng, classes((1, 2), (rng.choice((1, 2, 3)),)), 3)
+            if g.is_zero:
+                continue
+            assert compose(f, g, keep) == proj(ref_compose(f, g))
 
     def test_sigma(self):
         pool = classes((2, 3), (2, 3))

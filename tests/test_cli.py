@@ -276,6 +276,19 @@ class TestEvaluate:
                 ' of "alpha"[1][0] = -3/10',
                 id="inexact-float-literal",
             ),
+            pytest.param(  # nested numbers too: not [Infinity, 2.5]
+                '{"d": 3, "kind": "linear",'
+                ' "c": [{"i": 1, "j": 2, "k": 3, "val": [1e400, 2.50]}]}',
+                'entry c[0]: "val" must be a number or numeric string, got [1e400, 2.50]',
+                id="nested-array-val",
+            ),
+            pytest.param('{"d": 2, "kind": "constant", "alpha": [[0, {"a": 1e400}], [0, 0]]}',
+                         '"alpha"[0][1] must be a number or numeric string, got {"a": 1e400}',
+                         id="nested-object-alpha"),
+            pytest.param('{"d": 2, "kind": 1e400}', "unknown kind 1e400\n", id="number-kind"),
+            pytest.param('{"d": 2, "kind": ["constant", 2.50]}',
+                         'unknown kind ["constant", 2.50]\n', id="array-kind"),
+            pytest.param({"d": 2, "kind": "foo"}, 'unknown kind "foo"\n', id="string-kind"),
         ],
     )
     def test_contradictory_poisson_file(self, capsys, tmp_path, obj, detail):

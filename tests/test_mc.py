@@ -1,5 +1,6 @@
 """The deformation recursion m_n = P(sigma(D_n)) and its diagnostics."""
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from graphdgla.algebra import (
     vec,
 )
 from graphdgla.graphs import b1_power, c2L, c2R, enumerate_classes, t2L, t2R
+from test_algebra import ref_compose
 
 
 class TestDTerm:
@@ -157,6 +159,7 @@ class TestProjectionCommutes:
 # Each projection written out on its own, so the oracle below shares no code
 # with the predicates that solve passes to the bracket.
 ORACLE_KEEPS = {
+    "none": lambda g: True,
     "constant": lambda g: all(t < g.m for pair in g.targets for t in pair),
     "linear": lambda g: max(g.internal_in_degrees(), default=0) <= 1,
 }
@@ -230,6 +233,36 @@ class TestBracketTable:
             assert r.defect_terms == len(defect)
             assert r.lemma1_identity == mc.lemma1_identity(series, r.n)
             assert r.residual == mc.apply_projection(residual, projection)
+
+
+class TestCompositionsOracle:
+    """d_term and defect against the fold-with-+ sums of ref_compose."""
+
+    @pytest.mark.parametrize("projection", mc.PROJECTIONS)
+    def test_d_term_and_defect(self, projection):
+        series = mc.solve(4, projection)
+        m, keep = series.coeffs, mc.PROJECTIONS[projection]
+        for n in range(5):
+            folds = [ref_compose(m[j], m[n - j]) for j in range(n + 1)]
+            d_n = -sum(folds[1:n], GraphVector())
+            assert mc.d_term(series, n) == d_n
+            assert mc.d_term(series, n, keep) == oracle_project(d_n, projection)
+            assert mc.defect(series, n) == sum(folds, GraphVector()).scale(2)
+
+
+class TestStorageOrder:
+    """The order in which ``defect`` stores its terms becomes
+    ``compile_vector``'s term order, which the CI operator digests pin."""
+
+    @pytest.mark.parametrize("n, size, digest", [
+        (3, 41, "65f189862c8ac7209a093856fc3e2217bf02c82bca0687ce8c8f7025f68ea9d3"),
+        (4, 342, "0b2f90cc195098b3dd215a0c4a0cc757800ac0b7843a68573b92faffef65c7af"),
+    ])
+    def test_linear_defect(self, n, size, digest):
+        v = mc.defect(mc.solve(4, "linear"), n)
+        text = "".join("%s %s\n" % (g.to_literal(), c) for g, c in v.terms())
+        assert len(v) == size
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCocycle:
