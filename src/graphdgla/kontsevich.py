@@ -444,7 +444,7 @@ class Operator:
     """
 
     d: int
-    arities: frozenset  # the boundary arity m of every compiled graph
+    m: Optional[int]  # the boundary arity of every graph; None for the zero vector
     terms: tuple  # ((I_1, ..., I_m), Poly) pairs
 
     # the least common denominator L of every coefficient
@@ -455,15 +455,15 @@ class Operator:
 
     def check(self, fs: Sequence[Poly]) -> None:
         """Raise unless ``fs`` has one polynomial in x1..xd per boundary slot."""
-        for m in sorted(self.arities):
-            if len(fs) != m:
-                raise GraphError("need %d boundary functions, got %d" % (m, len(fs)))
-        if self.arities:
-            for f in fs:
-                if f.d != self.d:
-                    raise ValueError(
-                        "polynomial dimension %d != Poisson dimension %d" % (f.d, self.d)
-                    )
+        if self.m is None:
+            return
+        if len(fs) != self.m:
+            raise GraphError("need %d boundary functions, got %d" % (self.m, len(fs)))
+        for f in fs:
+            if f.d != self.d:
+                raise ValueError(
+                    "polynomial dimension %d != Poisson dimension %d" % (f.d, self.d)
+                )
 
     def __call__(self, fs: Sequence[Poly]) -> Poly:
         self.check(fs)
@@ -490,7 +490,11 @@ class Operator:
 def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
     """The operator of ``x`` under Kontsevich's rule, walking each graph's
     edge assignments once; cached per (vector, structure).  Graphs that
-    vanish for ``alpha.kind`` are skipped, but still count in ``arities``."""
+    vanish for ``alpha.kind`` are skipped, but still set ``m``."""
+    arity = x.boundary_arity()
+    if arity is None and x:
+        raise GraphError("evaluation requires an m-homogeneous vector, got m = %s"
+                         % ", ".join(map(str, sorted({g.m for g, _ in x.terms()}))))
     d = alpha.d
     # a graph failing its structure's kind test differentiates some vertex
     # tensor past its polynomial degree, so every edge assignment of it is zero
@@ -501,26 +505,26 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
     den = math.lcm(*(c.denominator * entry_den ** g.n for g, c in kept))
     acc: dict[tuple, dict[tuple, int]] = {}
     for g, c in kept:
-        m, n = g.m, g.n
+        n = g.n
         for assign in itertools.product(alpha.entries, repeat=n):
-            derivs: list[list[int]] = [[] for _ in range(m + n)]
+            derivs: list[list[int]] = [[] for _ in range(arity + n)]
             for k, (i, j, _) in enumerate(assign):
                 a, b = g.targets[k]
                 derivs[a].append(i + 1)
                 derivs[b].append(j + 1)
             product, product_den = {(0,) * d: 1}, c.denominator
             for k, (_, _, p) in enumerate(assign):
-                factor = p._derivative(tuple(sorted(derivs[m + k])))
+                factor = p._derivative(tuple(sorted(derivs[arity + k])))
                 if not factor:
                     break
                 product = _mul(product, factor)
                 product_den *= p.den
             else:
-                key = tuple(tuple(sorted(derivs[s])) for s in range(m))
+                key = tuple(tuple(sorted(derivs[s])) for s in range(arity))
                 k = c.numerator * (den // product_den)
                 add_terms(acc.setdefault(key, {}), ((e, v * k) for e, v in product.items()))
     terms = tuple((key, p) for key, num in acc.items() if (p := Poly.over(d, den, num)))
-    return Operator(d, frozenset(g.m for g, _ in x.terms()), terms)
+    return Operator(d, arity, terms)
 
 
 def evaluate_graph(g: LabeledGraph, alpha: PoissonStructure, fs: Sequence[Poly]) -> Poly:

@@ -43,29 +43,23 @@ class OrderReport:
 
     The bracket is symmetric on m_n and m_0 (see ``_compositions``), so
     [m_n, m_0] = [m_0, m_n] = d m_n and the projected defect
-    d m_n + [m_n, m_0] - 2 P(D_n) is 2 residual.  Hence ``lemma1_identity``
-    is constantly true and ``defect_terms`` (serialized as ``"defect_norm"``)
-    is ``len(residual)``.  The independent Lemma-1 check is
-    ``lemma1_identity`` in this module (``graphdgla selftest --only lemma1``).
+    d m_n + [m_n, m_0] - 2 P(D_n) is 2 residual.  Hence the serialized
+    ``"lemma1_identity"`` is constantly true and ``"defect_norm"`` is
+    ``len(residual)``.  The independent Lemma-1 check is ``lemma1_identity``
+    in this module (``graphdgla selftest --only lemma1``).
     """
 
     n: int
     m_n: GraphVector
     residual: GraphVector  # d m_n - P(D_n), reported, not asserted
 
-    lemma1_identity = True
-
-    @property
-    def defect_terms(self) -> int:
-        return len(self.residual)
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
             "m_n": self.m_n.to_json_obj(),
             "residual": self.residual.to_json_obj(),
-            "lemma1_identity": self.lemma1_identity,
-            "defect_norm": self.defect_terms,
+            "lemma1_identity": True,
+            "defect_norm": len(self.residual),
         }
 
 

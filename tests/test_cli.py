@@ -134,7 +134,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("order, count", [("1", 0), ("2", 12)])
     def test_nonzero_triples_counts_triples(self, capsys, so3_file, order, count):
-        # of the 64 default-corpus triples (1, x1, x2, x3 in each slot), 12
+        # of the 64 corpus triples (1, x1, x2, x3 in each slot), 12
         # have a nonzero order-2 associativity defect on so(3)
         code, out = run(capsys, "solve", order, "--projection", "linear",
                         "--poisson", so3_file, "--format", "json")
@@ -164,9 +164,6 @@ class TestSolve:
             ("solve", "0"),
             ("solve", "-1"),
             ("defect", "0"),
-            ("solve", "1", "--corpus-limit", "0"),
-            ("solve", "1", "--corpus-limit", "-1"),
-            ("solve", "1", "--corpus-degree", "-1"),
             ("enumerate", "1", "2", "--max-in-degree", "-1"),
             ("selftest", "--n", "-1"),
             ("enumerate", "2", "2", "--cap", "0"),
@@ -302,6 +299,16 @@ class TestEvaluate:
         assert detail in captured.err and captured.err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("functions", ["x1;x2", "x1;x2;x1"])
+    def test_mixed_arity_vector(self, capsys, symplectic_file, functions):
+        # no number of functions fits a vector with terms of two arities
+        code = main(["evaluate", "G{m=2; v1=(b1,b2)} + G{m=3; v1=(b1,b2)}",
+                     "--poisson", symplectic_file, "--functions", functions])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (
+            "error: evaluation requires an m-homogeneous vector, got m = 2, 3\n")
+
     def test_poisson_file_numbers_read_exactly(self, capsys, tmp_path):
         # a float would round alpha^{12} to 123456789012345680000000000000
         path = tmp_path / "big.json"
@@ -374,6 +381,26 @@ def test_format_offers_only_what_is_printed(capsys, argv):
     captured = capsys.readouterr()
     assert info.value.code == EXIT_INPUT and captured.out == ""
     assert "--format" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("solve", "abc"),
+        ("solve", "2", "--projection", "foo"),
+        ("solve", "2", "--bogus"),
+        ("solve", "2", "--corpus-degree", "3"),
+        ("enumerate", "2"),
+    ],
+)
+def test_malformed_command_line(capsys, argv):
+    # one error line and no usage block, as for any other input error
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == EXIT_INPUT and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestHomology:

@@ -9,7 +9,6 @@ import pytest
 from graphdgla.homology import (
     BoundaryMatrix,
     boundary_matrix,
-    boundary_merge_check,
     cohomology_dims,
     composition_is_zero,
     dimension_table,
@@ -221,11 +220,9 @@ class TestBoundaryMerge:
         assert len(classes) == 1
         c = classes[0]
         assert c.graph.in_degrees()[0] == 2
-        verdict, lhs, rhs = boundary_merge_check(c)
         # claimed factor 2^{i-1} = 2; the computed merged differential is
         # -(2^i - 2) * Gamma = -2 * Gamma, so the claim fails honestly
-        assert lhs == rhs.scale(-1)
-        assert not verdict
+        assert merged_differential(c) == vec(c, -2)
 
     def test_merged_differential_factor(self):
         for n in (1, 2, 3):
@@ -236,4 +233,4 @@ class TestBoundaryMerge:
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
-            boundary_merge_check(b0())
+            merged_differential(b0())
