@@ -164,6 +164,9 @@ class TestSolve:
             ("solve", "0"),
             ("solve", "-1"),
             ("defect", "0"),
+            ("defect", "-1"),
+            ("homology", "--n-max", "-1"),
+            ("homology", "--m-max", "-1"),
             ("enumerate", "1", "2", "--max-in-degree", "-1"),
             ("selftest", "--n", "-1"),
             ("enumerate", "2", "2", "--cap", "0"),
