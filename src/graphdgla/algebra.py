@@ -74,10 +74,12 @@ def split_signed_terms(text: str) -> list[tuple[int, str]]:
 class GraphVector:
     """Finite formal sum of canonical graph classes with rational coefficients."""
 
-    __slots__ = ("_terms",)
+    # ``_terms`` is never changed after ``__init__``, so the hash is kept
+    __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Optional[dict[LabeledGraph, Fraction]] = None):
         self._terms = {g: c for g, c in (terms or {}).items() if c}
+        self._hash: Optional[int] = None
 
     @classmethod
     def from_class(cls, c: SignedGraphClass, coeff=1) -> "GraphVector":
@@ -126,7 +128,9 @@ class GraphVector:
         return isinstance(other, GraphVector) and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
 
     def __add__(self, other: "GraphVector") -> "GraphVector":
         return GraphVector(add_terms(dict(self._terms), other._terms.items()))

@@ -112,17 +112,34 @@ def lemma1(sigma_norm: str = "merger") -> bool:
     )
 
 
+# (f, b1(f, g), b1^2(f, g)) for g = x1*x2 under the standard symplectic
+# structure, derived by hand: b1(f, g) = d1 f d2 g - d2 f d1 g, and b1^2 sums
+# the four products of two such pairings, with no 1/2.
+_KERNEL_VALUES = (
+    ("x1^2*x2", "x1^2*x2", "-4*x1"),
+    ("x1^2*x2^2", "0", "-8*x1*x2"),
+)
+
+
 def kernel_consistency() -> bool:
-    """Graphs with an edge on an internal vertex evaluate to zero (symplectic)."""
+    """b1 and b1^2 take their hand-derived values, and graphs with an edge
+    on an internal vertex evaluate to zero (symplectic).
+
+    The values are parsed literals, not Poly products, so a wrong product
+    in the kernel cannot agree with them by sharing its arithmetic.
+    """
     alpha = PoissonStructure.standard_symplectic(2)
     v = Poly.parse("x1*x2", 2)
-    tuples = [[Poly.parse(u, 2), v] for u in ("x1^2*x2", "x1^2*x2^2")]
-    return not any(
-        evaluate(c, alpha, fs)
-        for fs in tuples
-        for c in _classes(range(4), (2,))
-        if c.graph.has_internal_landing()
-    )
+    landing = [c for c in _classes(range(4), (2,)) if c.graph.has_internal_landing()]
+    for u, at_b1, at_b1_squared in _KERNEL_VALUES:
+        fs = [Poly.parse(u, 2), v]
+        if (
+            evaluate(b1(), alpha, fs) != Poly.parse(at_b1, 2)
+            or evaluate(b1_power(2), alpha, fs) != Poly.parse(at_b1_squared, 2)
+            or any(evaluate(c, alpha, fs) for c in landing)
+        ):
+            return False
+    return True
 
 
 def merged_differential() -> bool:

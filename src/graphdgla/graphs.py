@@ -155,8 +155,8 @@ class SignedGraphClass:
 ZERO = SignedGraphClass(None, 0)
 
 
-# Up to this many internal vertices the n! loop is faster than the pruned
-# search, whose per-node bookkeeping outweighs the few relabellings it skips
+# Up to this many internal vertices the n! loop is faster than the forced
+# search, whose per-graph set-up outweighs the few relabellings it skips
 # (measured on the graphs that solve and the cohomology tables canonicalize).
 _BRUTE_FORCE_MAX_N = 3
 
@@ -170,11 +170,12 @@ def canonicalize(g: LabeledGraph) -> SignedGraphClass:
     both parities the class is zero.
 
     Graphs with more than ``_BRUTE_FORCE_MAX_N`` internal vertices use a
-    branch-and-bound search over the relabellings; smaller ones try all n!.
+    search that places only the vertices the lex-min order can put next;
+    smaller ones try all n!.
     Both give the same class, sign and zero verdict.
     """
     if g.n > _BRUTE_FORCE_MAX_N:
-        return _canonicalize_pruned(g)
+        return _canonicalize_forced(g)
     return _canonicalize_brute(g)
 
 
@@ -215,17 +216,34 @@ def _canonicalize_brute(g: LabeledGraph) -> SignedGraphClass:
     return _signed_class(m, best, parities)
 
 
-def _canonicalize_pruned(g: LabeledGraph) -> SignedGraphClass:
-    """``canonicalize`` by branch and bound on the lex-min encoding.
+def _canonicalize_forced(g: LabeledGraph) -> SignedGraphClass:
+    """``canonicalize`` by placing the vertices that the prefix forces.
 
-    New positions 0..n-1 are filled in order, each by one of the vertices
-    not yet placed.  While positions 0..p are filled, a target not yet
-    placed will land at m+p+1 or later, so counting it as m+p+1 bounds the
-    encoding of the filled prefix from below.  A branch is cut only when
-    that bound exceeds the best prefix found so far, so every minimal
-    relabelling is still reached and both parities are still seen.  Twins
+    New positions 0..n-1 are filled in order, each by one vertex not yet
+    placed, and the vertex at position q gets the label m+q.  While
+    position p is being filled, every label given so far is below m+p, so
+    an unplaced target will read m+p or more.
+
+    Forced step.  Let k be the first placed position whose entry has an
+    unplaced target.  Entries before k are final and the same in every
+    branch.  Placing one of the (one or two) unplaced targets of entry k
+    at p makes that target m+p; placing any other vertex leaves each of
+    them at m+p+1 or more, so entry k is larger than in those branches and
+    the branch loses at k.  Only the targets of entry k are tried, and a
+    single one is placed without any comparison.
+
+    Free step.  When no placed entry has an unplaced target, the prefix is
+    final.  The candidates for p are compared by their own entry alone,
+    with an unplaced target counted as m+p+1, its least value (any value
+    above every label given compares the same).  Where a larger entry
+    first differs from the least one, the least one holds a label below
+    m+p+1, which is final, and the larger one can only grow; so a larger
+    entry loses at p, and only the least candidates are tried.  Twins
     (in-degree 0, same unordered target pair) are placed in label order:
     exchanging two of them fixes the graph and the swap parity.
+
+    Every lex-min relabelling survives these cuts, so each leaf compares
+    its encoding with the best and collects both swap parities on a tie.
     """
     g.validate()
     n, m = g.n, g.m
@@ -233,62 +251,80 @@ def _canonicalize_pruned(g: LabeledGraph) -> SignedGraphClass:
         return SignedGraphClass(g, 1)
     targets = g.targets
     landed = {t for pair in targets for t in pair if t >= m}
-    earlier_twin: list[Optional[int]] = [None] * n
+    # (vertex, its targets, its earlier twin); a vertex without one gets
+    # boundary 0, whose label is never ``unplaced``
+    vertices = []
     last: dict[Pair, int] = {}
-    for u, (a, b) in enumerate(targets):
-        if m + u not in landed:
+    for v, (a, b) in enumerate(targets, m):
+        twin = 0
+        if v not in landed:
             pair = (a, b) if a < b else (b, a)
-            earlier_twin[u] = last.get(pair)
-            last[pair] = u
-    pos = [-1] * n  # old label -> new position, -1 while not placed
-    order: list[int] = []  # new position -> old label
+            twin = last.get(pair, 0)
+            last[pair] = v
+        vertices.append((v, a, b, twin))
+    unplaced = m + n  # above every label, so it stands in for m+p+1
+    label = list(range(m)) + [unplaced] * n  # old target -> new label
+    width = unplaced + 1  # a sorted entry (a, b) compares as a * width + b
+    order: list[int] = []  # new position -> old vertex index
     best: Optional[tuple] = None
     parities: set[int] = set()
 
-    def encode(unplaced: int) -> list[Pair]:
-        out = []
-        for u in order:
-            a, b = targets[u]
-            if a >= m:
-                a = m + pos[a - m] if pos[a - m] >= 0 else unplaced
-            if b >= m:
-                b = m + pos[b - m] if pos[b - m] >= 0 else unplaced
-            out.append((a, b) if a <= b else (b, a))
-        return out
-
-    def extend(p: int) -> None:
+    def extend(p: int, k: int) -> None:
+        """Fill positions p.., placing forced vertices in a loop and
+        recursing only where two or more candidates remain."""
         nonlocal best, parities
-        branches = []
-        for u in range(n):
-            twin = earlier_twin[u]
-            if pos[u] >= 0 or (twin is not None and pos[twin] < 0):
-                continue
-            pos[u] = p
-            order.append(u)
-            branches.append((tuple(encode(m + p + 1)), u))
-            order.pop()
-            pos[u] = -1
-        branches.sort()
-        for bound, u in branches:
-            if best is not None and bound > best[: p + 1]:
-                break
-            pos[u] = p
-            order.append(u)
-            if p + 1 < n:
-                extend(p + 1)
+        start = p
+        while p < n:
+            while k < p:
+                a, b = targets[order[k]]
+                if label[a] == unplaced or label[b] == unplaced:
+                    break
+                k += 1
+            if k < p:
+                choices = [t for t in targets[order[k]] if label[t] == unplaced]
             else:
-                flips = sum(
-                    (a if a < m else m + pos[a - m]) > (b if b < m else m + pos[b - m])
-                    for a, b in targets
-                )
-                if best is None or bound < best:
-                    best, parities = bound, {flips & 1}
-                elif bound == best:
-                    parities.add(flips & 1)
-            order.pop()
-            pos[u] = -1
+                choices = []
+                least = None
+                for v, a, b, twin in vertices:
+                    if label[v] != unplaced or label[twin] == unplaced:
+                        continue
+                    a, b = label[a], label[b]
+                    entry = a * width + b if a <= b else b * width + a
+                    if least is None or entry < least:
+                        least, choices = entry, [v]
+                    elif entry == least:
+                        choices.append(v)
+            if len(choices) > 1:
+                for v in choices:
+                    label[v] = m + p
+                    order.append(v - m)
+                    extend(p + 1, k)
+                    order.pop()
+                    label[v] = unplaced
+                break
+            label[choices[0]] = m + p
+            order.append(choices[0] - m)
+            p += 1
+        else:
+            new = []
+            flips = 0
+            for u in order:
+                a, b = targets[u]
+                a, b = label[a], label[b]
+                if a > b:
+                    a, b = b, a
+                    flips += 1
+                new.append((a, b))
+            key = tuple(new)
+            if best is None or key < best:
+                best, parities = key, {flips & 1}
+            elif key == best:
+                parities.add(flips & 1)
+        for u in order[start:]:
+            label[m + u] = unplaced
+        del order[start:]
 
-    extend(0)
+    extend(0, 0)
     return _signed_class(m, best, parities)
 
 

@@ -328,6 +328,22 @@ class TestGraphVector:
         v = B1 - B1
         assert len(v) == 0 and v.is_zero
 
+    def test_hash_agrees_with_eq(self):
+        """Equal vectors built by +, scale and combine hash alike, and a
+        vector made from an already hashed one gets a hash of its own."""
+        half = Fraction(1, 2)
+        a = vec(t2R()) + vec(c2L(), half)
+        assert hash(a) == hash(a)  # the kept hash
+        b = (vec(c2L()) + vec(t2R())).scale(half) + vec(t2R(), half)
+        c = GraphVector.combine([(c2L(), half), (t2R(), Fraction(1))])
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        d = a + vec(c2())
+        assert d != a
+        assert hash(d) == hash(GraphVector.combine([(c2(), 1), (c2L(), half), (t2R(), 1)]))
+        assert {a: "a", d: "d"}[c] == "a"
+        assert hash(a.scale(2)) == hash(vec(t2R(), 2) + vec(c2L()))
+
     def test_literal_round_trip(self):
         v = vec(t2R(), Fraction(-3, 2)) + vec(c2L()) + vec(c2R(), Fraction(5, 7))
         assert GraphVector.from_literal(v.to_literal()) == v

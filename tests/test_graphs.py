@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from graphdgla import graphs
+from graphdgla import graphs, mc
 from graphdgla.graphs import (
     GraphError,
     LabeledGraph,
@@ -14,7 +14,7 @@ from graphdgla.graphs import (
     b1,
     b1_power,
     _canonicalize_brute,
-    _canonicalize_pruned,
+    _canonicalize_forced,
     c2R,
     canonicalize,
     empty_graph,
@@ -53,6 +53,14 @@ def apply_perm_and_flips(g, perm, flips):
             a2, b2 = b2, a2
         new_targets[perm[k]] = (a2, b2)
     return LabeledGraph(g.m, tuple(new_targets))
+
+
+def random_graph(rng, n):
+    """An admissible graph with n internal vertices and 1 to 3 boundary ones."""
+    m = rng.randint(1, 3)
+    return LabeledGraph(m, tuple(
+        tuple(rng.sample([t for t in range(m + n) if t != m + k], 2)) for k in range(n)
+    ))
 
 
 class TestCanonicalize:
@@ -116,8 +124,17 @@ class TestPrunedSearch:
     @staticmethod
     def assert_agrees(g):
         want = _canonicalize_brute(g)
-        assert _canonicalize_pruned(g) == want
+        assert _canonicalize_forced(g) == want
         assert canonicalize(g) == want
+
+    def assert_agrees_relabelled(self, g, rng, count):
+        """``g`` and ``count`` random relabellings with random swaps."""
+        self.assert_agrees(g)
+        for _ in range(count):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            flips = {k for k in range(g.n) if rng.random() < 0.5}
+            self.assert_agrees(apply_perm_and_flips(g, perm, flips))
 
     def test_exhaustive_small(self):
         for n in range(4):
@@ -145,12 +162,62 @@ class TestPrunedSearch:
         rng = random.Random(56)
         for n in (5, 6):
             for _ in range(150):
-                m = rng.randint(1, 3)
-                targets = tuple(
-                    tuple(rng.sample([t for t in range(m + n) if t != m + k], 2))
-                    for k in range(n)
-                )
-                self.assert_agrees(LabeledGraph(m, targets))
+                self.assert_agrees(random_graph(rng, n))
+
+    # (name, literal, zero?) for each branch of the forced search
+    BRANCH_CASES = [
+        # v1 is placed first and forces v2, whose entry then has two
+        # unplaced targets; only v3 first gives the least encoding
+        ("two-refs", "G{m=4; v1=(b1,v2); v2=(v3,v4); v3=(b2,b3); v4=(b2,b4)}", False),
+        ("two-refs-swapped", "G{m=4; v1=(b1,v2); v2=(v4,v3); v3=(b2,b3); v4=(b2,b4)}", False),
+        # every entry has an internal target
+        ("no-boundary-pair", "G{m=2; v1=(v2,v3); v2=(v3,b1); v3=(b2,v4); v4=(b1,v2)}", False),
+        # v1 and v2 tie in the free step and are landed on, so are no twins
+        ("tied-free", "G{m=2; v1=(b1,b2); v2=(b1,b2); v3=(v1,b1); v4=(v2,b2)}", False),
+        ("tied-free-zero", "G{m=2; v1=(b1,b2); v2=(b2,b1); v3=(b1,b2); v4=(v1,v3); v5=(v2,b1)}", True),
+        ("twins", "G{m=2; v1=(b1,b2); v2=(b2,b1); v3=(b1,v4); v4=(b2,v3)}", False),
+        ("twins-and-landed", "G{m=2; v1=(b1,b2); v2=(b1,b2); v3=(b2,b1); v4=(v1,b2); v5=(b2,v4)}", False),
+        # an automorphism exchanging the targets of v1 flips v1 alone
+        ("zero-4", "G{m=2; v1=(v2,v3); v2=(b1,v4); v3=(b1,v4); v4=(b1,b2)}", True),
+        # v1 points into two disjoint 2-cycles v -> (b1, w), w -> (b2, v)
+        ("zero-5", "G{m=2; v1=(v2,v4); v2=(b1,v3); v3=(b2,v2); v4=(b1,v5); v5=(b2,v4)}", True),
+        ("zero-6", "G{m=2; v1=(v2,v4); v2=(b1,v3); v3=(b2,v2); v4=(b1,v5); v5=(b2,v4); v6=(b1,b2)}", True),
+        # exchanging the 2-cycles flips v1 and v2: even, so not zero
+        ("even-6", "G{m=2; v1=(v3,v5); v2=(v4,v6); v3=(b1,v4); v4=(b2,v3); v5=(b1,v6); v6=(b2,v5)}", False),
+        ("cycles-6", "G{m=2; v1=(b1,v2); v2=(b2,v1); v3=(b1,v4); v4=(b2,v3); v5=(b1,v6); v6=(b2,v5)}", False),
+    ]
+
+    @pytest.mark.parametrize("name, literal, zero", BRANCH_CASES, ids=[c[0] for c in BRANCH_CASES])
+    def test_branch_cases(self, name, literal, zero):
+        g = LabeledGraph.from_literal(literal)
+        assert canonicalize(g).is_zero == zero
+        self.assert_agrees_relabelled(g, random.Random(name), 6)
+
+    def test_every_graph_of_solve_5(self, monkeypatch):
+        seen = []
+        search = graphs._canonicalize_forced
+
+        def recording(g):
+            seen.append(g)
+            return search(g)
+
+        monkeypatch.setattr(graphs, "_canonicalize_forced", recording)
+        mc.solve(5, "linear")
+        monkeypatch.undo()
+        assert len(seen) > 5000 and min(g.n for g in seen) >= 4
+        for g in set(seen):
+            assert search(g) == _canonicalize_brute(g)
+
+    def test_random_n7(self):
+        rng = random.Random(77)
+        for _ in range(4):
+            self.assert_agrees(random_graph(rng, 7))
+        # zero-6 with a wedge on v1, relabelled
+        g = LabeledGraph.from_literal(
+            "G{m=2; v1=(v2,v4); v2=(b1,v3); v3=(b2,v2); v4=(b1,v5); v5=(b2,v4); "
+            "v6=(b1,b2); v7=(v1,b2)}"
+        )
+        self.assert_agrees(apply_perm_and_flips(g, [3, 6, 0, 5, 1, 4, 2], {0, 2, 5}))
 
     def test_twin_heavy(self):
         rng = random.Random(7)
@@ -162,12 +229,7 @@ class TestPrunedSearch:
         graphs.append(LabeledGraph(2, ((0, 1), (0, 1), (0, 1), (2, 3), (0, 3))))
         graphs.append(LabeledGraph(2, ((0, 1), (0, 1), (5, 1), (0, 2), (1, 0))))
         for g in graphs:
-            self.assert_agrees(g)
-            for _ in range(3):
-                perm = list(range(g.n))
-                rng.shuffle(perm)
-                flips = {k for k in range(g.n) if rng.random() < 0.5}
-                self.assert_agrees(apply_perm_and_flips(g, perm, flips))
+            self.assert_agrees_relabelled(g, rng, 3)
 
 
 class TestEnumerate:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphdgla import mc
+from graphdgla import checks, kontsevich, mc
 from graphdgla.algebra import (
     GraphVector,
     add_terms,
@@ -636,6 +636,19 @@ class TestKernelConsistency:
                 direct = evaluate(c, alpha, fs)
                 projected = evaluate(project_constant(vec(c)), alpha, fs)
                 assert direct == projected
+
+    @pytest.mark.parametrize("wrong", ["doubled", "max-exponents"])
+    def test_check_fails_on_a_wrong_product(self, monkeypatch, wrong):
+        real = kontsevich._mul
+        products = {
+            "doubled": lambda p, q: {e: 2 * c for e, c in real(p, q).items()},
+            "max-exponents": lambda p, q: {
+                tuple(map(max, e1, e2)): c1 * c2
+                for e1, c1 in p.items() for e2, c2 in q.items()
+            },
+        }
+        monkeypatch.setattr(kontsevich, "_mul", products[wrong])
+        assert not checks.kernel_consistency()
 
 
 def test_monomial_corpus_size():
