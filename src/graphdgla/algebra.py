@@ -2,7 +2,7 @@
 
 Holds insertion composition, the pre-Lie product and its bracket, the
 differential ad(b0), the merger almost-contraction, the Poisson-kernel
-projections, the wedge-basis expansions and the antipodal map.
+projections, the wedge-basis expansion and the antipodal map.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .graphs import (
     LabeledGraph,
     SignedGraphClass,
     b0,
-    b1_power,
     canonicalize,
     merge_boundary,
     transpose,
@@ -328,21 +327,14 @@ def differential(f: GraphVector) -> GraphVector:
 # -- merger contraction ----------------------------------------------------
 
 
-SIGMA_NORMALIZATIONS = ("merger", "linear-alt")
-
-
-def sigma_normalization(n: int, normalization: str = "merger") -> Fraction:
-    """Per-term constant in front of the alternating merger sum."""
+def sigma_normalization(n: int) -> Fraction:
+    """Per-term constant 1/(2(2^n - 2)) in front of the alternating merger sum."""
     if n <= 1:
         raise SigmaDomainError("normalization undefined for n=%d" % n)
-    if normalization == "merger":
-        return Fraction(1, 2 * (2**n - 2))
-    if normalization == "linear-alt":
-        return Fraction(-1, 2 ** (n - 1) - 1)
-    raise ValueError("unknown sigma normalization %r" % normalization)
+    return Fraction(1, 2 * (2**n - 2))
 
 
-def sigma(f: GraphVector, normalization: str = "merger") -> GraphVector:
+def sigma(f: GraphVector) -> GraphVector:
     """Merger almost-contraction: alternating boundary merges, normalized per n."""
 
     def merges():
@@ -352,7 +344,7 @@ def sigma(f: GraphVector, normalization: str = "merger") -> GraphVector:
                     "sigma needs n >= 2 internal vertices; offending term %s"
                     % g.to_literal()
                 )
-            norm = c * sigma_normalization(g.n, normalization)
+            norm = c * sigma_normalization(g.n)
             cls = SignedGraphClass(g, 1)
             for i in range(1, g.m):
                 yield merge_boundary(cls, i), norm if (i - 1) % 2 == 0 else -norm
@@ -389,29 +381,13 @@ def project_constant(f: GraphVector) -> GraphVector:
     return project(f, keeps_constant)
 
 
-def project_linear(f: GraphVector) -> GraphVector:
-    """Kill every term with an internal vertex of in-degree >= 2."""
-    return project(f, keeps_linear)
-
-
-# -- wedge bases -----------------------------------------------------------
-
-
-def wedge_basis_element(n: int) -> GraphVector:
-    """B_n = b1^n / n!."""
-    return vec(b1_power(n), Fraction(1, math.factorial(n)))
-
-
-def gamma_basis_element(r: int, s: int, t: int) -> GraphVector:
-    """Gamma_{rst} = (Gamma_1^r / r!) (Gamma_2^s / s!) (Gamma_3^t / t!)."""
-    # r wedges over (2,3), s over (1,3), t over (1,2)
-    targets = ((1, 2),) * r + ((0, 2),) * s + ((0, 1),) * t
-    norm = math.factorial(r) * math.factorial(s) * math.factorial(t)
-    return GraphVector.from_graph(LabeledGraph(3, targets), Fraction(1, norm))
+# -- wedge basis -----------------------------------------------------------
 
 
 def expand_wedge_basis(f: GraphVector) -> dict:
-    """Coefficients of f over {B_n} (m=2) or {Gamma_rst} (m=3).
+    """Coefficients of f over B_n = b1^n / n! (m=2) or over Gamma_rst =
+    (Gamma_1^r / r!) (Gamma_2^s / s!) (Gamma_3^t / t!) (m=3), where
+    Gamma_1, Gamma_2, Gamma_3 are the wedges over (2,3), (1,3), (1,2).
 
     Raises WedgeSpanError carrying the residual if some term is not a
     superposition of wedges.
@@ -441,45 +417,19 @@ def expand_wedge_basis(f: GraphVector) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def reconstruct_wedge_basis(coeffs: dict, m: int) -> GraphVector:
-    """Inverse of expand_wedge_basis."""
-    acc: dict[LabeledGraph, Fraction] = {}
-    for key, c in coeffs.items():
-        element = wedge_basis_element(key) if m == 2 else gamma_basis_element(*key)
-        add_terms(acc, element.scale(c).terms())
-    return GraphVector(acc)
+# -- antipode --------------------------------------------------------------
 
 
-# -- antipode and curly bracket -------------------------------------------
+def antipode_sign(m: int) -> int:
+    """(-1)^{m(m-1)/2}, the sign of reversing m boundary points."""
+    return -1 if (m * (m - 1) // 2) % 2 else 1
 
 
-ANTIPODE_SIGNS = ("reversal", "paper")
-
-
-def antipode_sign(m: int, convention: str = "reversal") -> int:
-    if convention == "reversal":
-        return -1 if (m * (m - 1) // 2) % 2 else 1
-    if convention == "paper":
-        return -1 if m % 2 else 1
-    raise ValueError("unknown antipode sign convention %r" % convention)
-
-
-def antipode(f: GraphVector, convention: str = "reversal") -> GraphVector:
+def antipode(f: GraphVector) -> GraphVector:
     """S(Gamma) = sign(m) * transpose(Gamma), extended linearly."""
     return GraphVector.combine(
-        (transpose(SignedGraphClass(g, 1)), c * antipode_sign(g.m, convention))
-        for g, c in f.terms()
+        (transpose(SignedGraphClass(g, 1)), c * antipode_sign(g.m)) for g, c in f.terms()
     )
-
-
-def curly(f: GraphVector, g: GraphVector) -> GraphVector:
-    """{f, g} = f o_1 g - g o_2 f, on m=2 terms."""
-    for v in (f, g):
-        if any(gr.m != 2 for gr, _ in v):
-            raise GraphError("curly bracket requires m=2 terms")
-    return GraphVector.combine(itertools.chain(
-        grafts(((h, 1, c) for h, c in f), g), grafts(((h, 2, -c) for h, c in g), f)
-    ))
 
 
 # -- index-triple codifferential ------------------------------------------

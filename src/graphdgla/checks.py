@@ -1,13 +1,11 @@
 """The paper's identities as plain checks, shared by ``selftest`` and the tests.
 
-``CHECKS`` maps each selftest name to a function that returns a bool.  A
-function takes only the conventions it uses (``n``, ``sigma_norm``,
-``antipode_sign``), and its defaults are the CLI defaults.
+``CHECKS`` maps each selftest name to a function that returns a bool.  Only
+``delta-sum`` takes a parameter, the bound ``n`` that ``selftest --n`` sets.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from . import homology, mc
 from .algebra import (
@@ -49,18 +47,18 @@ def d2_regression() -> bool:
     return compose(vec(b1()), vec(b1())) == want
 
 
-def moyal(sigma_norm: str = "merger") -> bool:
+def moyal() -> bool:
     """The constant-projected solution recovers Moyal's B_n up to order 4."""
-    return moyal_coefficients(mc.solve(4, "constant", sigma_norm))
+    return moyal_coefficients(mc.solve(4, "constant"))
 
 
-def sigma_contraction(sigma_norm: str = "merger") -> bool:
+def sigma_contraction() -> bool:
     """P sigma [b1^i, b1^j] = -b1^n / (2^{n-1} - 1) for n = i + j <= 5."""
     for n in range(2, 6):
         want = vec(b1_power(n), Fraction(-1, 2 ** (n - 1) - 1))
         for i in range(1, n):
             br = bracket(vec(b1_power(i)), vec(b1_power(n - i)))
-            if project_constant(sigma(br, sigma_norm)) != want:
+            if project_constant(sigma(br)) != want:
                 return False
     return True
 
@@ -72,11 +70,11 @@ def d_squared() -> bool:
     )
 
 
-def sigma_squared(sigma_norm: str = "merger") -> bool:
+def sigma_squared() -> bool:
     """sigma sigma = 0 on G_{n,m}, n in {2, 3}, 2 <= m <= 5."""
     for c in _classes((2, 3), range(2, 6)):
-        inner = sigma(vec(c), sigma_norm)
-        if inner and sigma(inner, sigma_norm):
+        inner = sigma(vec(c))
+        if inner and sigma(inner):
             return False
     return True
 
@@ -92,22 +90,24 @@ def simplicial() -> bool:
     )
 
 
-def antipode_morphism(antipode_sign: str = "reversal") -> bool:
+def antipode_morphism() -> bool:
     """S fixes b1, is an involution and a morphism of o on G_{n,2}, n <= 2."""
-    s = partial(antipode, convention=antipode_sign)
     pool = [vec(c) for c in _classes(range(3), (2,))]
     return (
-        s(vec(b1())) == vec(b1())
-        and all(s(s(f)) == f for f in pool)
-        and all(s(compose(f, g)) == compose(s(f), s(g)) for f in pool for g in pool)
+        antipode(vec(b1())) == vec(b1())
+        and all(antipode(antipode(f)) == f for f in pool)
+        and all(
+            antipode(compose(f, g)) == compose(antipode(f), antipode(g))
+            for f in pool for g in pool
+        )
     )
 
 
-def lemma1(sigma_norm: str = "merger") -> bool:
+def lemma1() -> bool:
     """Lemma 1 holds at orders 0..4 of the solution under every projection."""
     return all(
         mc.lemma1_identity(series, n)
-        for series in (mc.solve(4, p, sigma_norm) for p in mc.PROJECTIONS)
+        for series in (mc.solve(4, p) for p in mc.PROJECTIONS)
         for n in range(5)
     )
 

@@ -8,15 +8,12 @@ engine, reported as one ``internal error:`` line instead of a traceback).
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import json
 import sys
 
 from . import checks, homology, mc
 from .algebra import (
-    ANTIPODE_SIGNS,
-    SIGMA_NORMALIZATIONS,
     GraphVector,
     SigmaDomainError,
     bracket,
@@ -65,7 +62,7 @@ def _require(flag: str, value: int, least: int) -> None:
 
 def _solve(args) -> mc.StarSeries:
     _require("order", args.order, 1)
-    return mc.solve(args.order, args.projection, args.sigma_norm)
+    return mc.solve(args.order, args.projection)
 
 
 def _emit_vector(v: GraphVector, fmt: str) -> None:
@@ -103,7 +100,7 @@ def cmd_product(args) -> int:
 def cmd_sigma(args) -> int:
     f = _parse_vector(args.f)
     try:
-        _emit_vector(sigma(f, args.sigma_norm), args.format)
+        _emit_vector(sigma(f), args.format)
     except SigmaDomainError as exc:
         raise _InputError(str(exc)) from exc
     return EXIT_OK
@@ -114,7 +111,7 @@ def cmd_solve(args) -> int:
     report = {
         "order": series.order,
         "projection": series.projection,
-        "sigma_normalization": series.sigma_normalization,
+        "sigma_normalization": "merger",  # the only one; the solve digests pin it
         "orders": [r.to_json_obj() for r in series.reports],
     }
     ok = True
@@ -211,9 +208,7 @@ def cmd_selftest(args) -> int:
         selected = {args.only: selected[args.only]}
     results = {}
     for name, fn in selected.items():
-        # a check's parameters are named after the selftest flags it reads
-        params = inspect.signature(fn).parameters
-        results[name] = bool(fn(**{k: v for k, v in vars(args).items() if k in params}))
+        results[name] = bool(fn(args.n) if name == "delta-sum" else fn())
         if args.format != "json":
             print("%-20s %s" % (name, "pass" if results[name] else "FAIL"))
     if args.format == "json":
@@ -261,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sigma", help="merger contraction of a graph vector")
     p.add_argument("f")
-    p.add_argument("--sigma-norm", choices=SIGMA_NORMALIZATIONS, default="merger")
     _add_common(p)
     p.set_defaults(fn=cmd_sigma)
 
@@ -269,14 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", type=int)
     p.add_argument("--projection", choices=mc.PROJECTIONS, default="none")
     p.add_argument("--poisson", default=None)
-    p.add_argument("--sigma-norm", choices=SIGMA_NORMALIZATIONS, default="merger")
     _add_common(p)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("defect", help="associativity defects of a solved series")
     p.add_argument("order", type=int)
     p.add_argument("--projection", choices=mc.PROJECTIONS, default="none")
-    p.add_argument("--sigma-norm", choices=SIGMA_NORMALIZATIONS, default="merger")
     _add_common(p)
     p.set_defaults(fn=cmd_defect)
 
@@ -296,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the invariant suite")
     p.add_argument("--only", default=None)
     p.add_argument("--n", type=int, default=20, help="bound for delta-sum")
-    p.add_argument("--sigma-norm", choices=SIGMA_NORMALIZATIONS, default="merger")
-    p.add_argument("--antipode-sign", choices=ANTIPODE_SIGNS, default="reversal")
     _add_common(p)
     p.set_defaults(fn=cmd_selftest)
 

@@ -357,21 +357,6 @@ def transpose(c: SignedGraphClass) -> SignedGraphClass:
     return canonicalize(LabeledGraph(g.m, new)).scaled(c.sign)
 
 
-def superpose(c1: SignedGraphClass, c2: SignedGraphClass) -> SignedGraphClass:
-    """Disjoint union of internal vertices over a shared boundary."""
-    if c1.is_zero or c2.is_zero:
-        return ZERO
-    g1, g2 = c1.graph, c2.graph
-    if g1.m != g2.m:
-        raise GraphError("boundary arity mismatch: %d vs %d" % (g1.m, g2.m))
-    shift = g1.n
-    moved = tuple(
-        tuple(t if t < g2.m else t + shift for t in pair) for pair in g2.targets
-    )
-    g = LabeledGraph(g1.m, g1.targets + moved)
-    return canonicalize(g).scaled(c1.sign * c2.sign)
-
-
 def enumerate_classes(
     n: int,
     m: int,
@@ -505,18 +490,6 @@ def b1() -> SignedGraphClass:
 def b1_power(n: int) -> SignedGraphClass:
     """n disjoint wedges over two shared boundary points."""
     return canonicalize(LabeledGraph(2, ((0, 1),) * n)) if n else b0()
-
-
-def gamma1() -> SignedGraphClass:
-    return wedge(3, 2, 3)
-
-
-def gamma2() -> SignedGraphClass:
-    return wedge(3, 1, 3)
-
-
-def gamma3() -> SignedGraphClass:
-    return wedge(3, 1, 2)
 
 
 def t2R() -> SignedGraphClass:

@@ -72,19 +72,6 @@ def rank(matrix: BoundaryMatrix) -> int:
     return len(pivots)
 
 
-def composition_is_zero(outer: BoundaryMatrix, inner: BoundaryMatrix) -> bool:
-    """Whether outer . inner = 0 (matrix-level d^2 = 0)."""
-    if inner.target != outer.source:
-        raise ValueError("matrices are not adjacent")
-    for entries in inner.columns:
-        image: dict[int, Fraction] = {}
-        for mid, c in entries.items():
-            add_terms(image, ((row, c * c2) for row, c2 in outer.columns[mid].items()))
-        if any(image.values()):
-            return False
-    return True
-
-
 def _walk(n: int, m_max: int, cap: int) -> list[dict]:
     """Rows (n, m) for m = 1..m_max: each G_{n,m} enumerated, each matrix ranked once."""
     rows = []

@@ -546,11 +546,6 @@ def evaluate(
 # -- star products and defects --------------------------------------------
 
 
-def star(series: StarSeries, alpha: PoissonStructure, u: Poly, v: Poly) -> list[Poly]:
-    """Truncated series of u * v; index n holds the order-n coefficient."""
-    return star_series(series, alpha, [u], [v])
-
-
 def star_series(
     series: StarSeries, alpha: PoissonStructure, A: Sequence[Poly], B: Sequence[Poly]
 ) -> list[Poly]:

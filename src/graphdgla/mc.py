@@ -2,9 +2,9 @@
 
 Builds the star-product series order by order as m_n = P(sigma(D_n)), where P
 is an optional Poisson-kernel projection, and exposes the associativity
-defects and the cocycle/contraction diagnostics per order.  P keeps or drops
-a graph by a test on its internal in-degrees (``PROJECTIONS``), so it is
-applied to each raw graft of D_n before the graft is canonicalized.
+defects and the Lemma-1 check per order.  P keeps or drops a graph by a test
+on its internal in-degrees (``PROJECTIONS``), so it is applied to each raw
+graft of D_n before the graft is canonicalized.
 """
 from __future__ import annotations
 
@@ -18,23 +18,11 @@ from .algebra import (
     bracket,
     compose_terms,
     differential,
-    project,
+    insert,
     sigma,
     vec,
 )
 from .graphs import b0, b1
-
-
-def projection_test(projection: str) -> Keep:
-    """The graph test of ``projection``, for the ``keep`` argument of the bracket."""
-    if projection not in PROJECTIONS:
-        raise ValueError("unknown projection %r" % projection)
-    return PROJECTIONS[projection]
-
-
-def apply_projection(v: GraphVector, projection: str) -> GraphVector:
-    keep = projection_test(projection)
-    return v if keep is None else project(v, keep)
 
 
 @dataclass
@@ -45,8 +33,9 @@ class OrderReport:
     [m_n, m_0] = [m_0, m_n] = d m_n and the projected defect
     d m_n + [m_n, m_0] - 2 P(D_n) is 2 residual.  Hence the serialized
     ``"lemma1_identity"`` is constantly true and ``"defect_norm"`` is
-    ``len(residual)``.  The independent Lemma-1 check is ``lemma1_identity``
-    in this module (``graphdgla selftest --only lemma1``).
+    ``len(residual)``.  ``lemma1_identity`` in this module checks that
+    [m_n, m_0] is d m_n against signed insertions formed on their own
+    (``graphdgla selftest --only lemma1``).
     """
 
     n: int
@@ -69,7 +58,6 @@ class StarSeries:
 
     coeffs: list[GraphVector]
     projection: str = "none"
-    sigma_normalization: str = "merger"
     reports: list[OrderReport] = field(default_factory=list)
 
     @property
@@ -77,8 +65,8 @@ class StarSeries:
         return len(self.coeffs) - 1
 
 
-def initial_series(projection: str = "none", normalization: str = "merger") -> StarSeries:
-    return StarSeries([vec(b0()), vec(b1())], projection, normalization)
+def initial_series(projection: str = "none") -> StarSeries:
+    return StarSeries([vec(b0()), vec(b1())], projection)
 
 
 def _compositions(series: StarSeries, n: int, lo: int, weight: int, keep: Keep = None):
@@ -111,36 +99,28 @@ def defect(series: StarSeries, n: int) -> GraphVector:
 
 
 def lemma1_identity(series: StarSeries, n: int) -> bool:
-    """Formal identity defect_n = 2 (d m_n - D_n), with no projection.
+    """Lemma 1, defect_n = 2 (d m_n - D_n) with no projection, at order n.
 
-    With m_0 = b0, [m_0, m_n] is d m_n, so both sides share d m_n - 2 D_n,
-    which cancels exactly.  What remains is a real check: [m_n, m_0] from
-    ``bracket`` against an independent ``differential(m_n)``; at n = 0,
-    [m_0, m_0] = 2 [m_0, m_0], i.e. [m_0, m_0] = 0.  P plays no part.
+    Splitting the terms with i = 0 or j = 0 off defect_n = sum_{i+j=n}
+    [m_i, m_j] leaves [m_0, m_n] + [m_n, m_0] - 2 D_n, and [m_0, m_n] is
+    d m_n.  What remains is [m_n, m_0] = d m_n: m_n and m_0 = b0 both have
+    Lie degree 1, so [m_n, m_0] is m_n o m_0 + m_0 o m_n.  The check forms
+    that sum as sum_i (-1)^{(i-1)|g|} f o_i g from ``insert``, which applies
+    no sign, and compares it with ``bracket``, so a wrong Gerstenhaber sign
+    in the bracket fails it.  At n = 0 it says [m_0, m_0] = 0.  P plays no
+    part.
     """
     if n < 0:
         raise ValueError("lemma 1 defined for n >= 0")
     m = series.coeffs
-    if n == 0:
-        return bracket(m[0], m[0]).is_zero
-    return bracket(m[n], m[0]) == differential(m[n])
+    want = GraphVector()
+    for f, g in ((m[n], m[0]), (m[0], m[n])):
+        for i in range(1, (f.boundary_arity() or 0) + 1):
+            want = want + insert(f, i, g).scale((-1) ** ((i - 1) * g.lie_degree()))
+    return bracket(m[n], m[0]) == want
 
 
-def cocycle_check(series: StarSeries, n: int) -> GraphVector:
-    """P(d D_{n+1}); expected zero when lower orders close, returned as-is.
-
-    P is applied to the grafts of D_{n+1}: it commutes with d (see ``solve``),
-    so d runs only on the terms that P keeps.
-    """
-    keep = projection_test(series.projection)
-    return differential(d_term(series, n + 1, keep))
-
-
-def solve(
-    N: int,
-    projection: str = "none",
-    sigma_normalization: str = "merger",
-) -> StarSeries:
+def solve(N: int, projection: str = "none") -> StarSeries:
     """Iterate m_n = P(sigma(D_n)) for 2 <= n <= N from m_0 = b0, m_1 = b1.
 
     Each order forms each composition of D_n once and projects only D_n.  P
@@ -157,35 +137,13 @@ def solve(
     """
     if N < 1:
         raise ValueError("truncation order must be >= 1")
-    keep = projection_test(projection)
-    series = initial_series(projection, sigma_normalization)
+    if projection not in PROJECTIONS:
+        raise ValueError("unknown projection %r" % projection)
+    keep = PROJECTIONS[projection]
+    series = initial_series(projection)
     for n in range(2, N + 1):
         dn = d_term(series, n, keep)
-        mn = sigma(dn, sigma_normalization)
+        mn = sigma(dn)
         series.coeffs.append(mn)
         series.reports.append(OrderReport(n, mn, differential(mn) - dn))
     return series
-
-
-def contraction_residual(series: StarSeries, n: int) -> GraphVector:
-    """d sigma D_n + sigma d D_n - D_n on the realized cocycle D_n."""
-    dn, norm = d_term(series, n), series.sigma_normalization
-    return differential(sigma(dn, norm)) + sigma(differential(dn), norm) - dn
-
-
-def hat_iteration(
-    k: int,
-    projection: str = "none",
-    sigma_normalization: str = "merger",
-) -> GraphVector:
-    """The initiator tower t^{k-1}(b1), t(v) = P(sigma([b1, v])) = sigma(P([b1, v])).
-
-    P is applied to the grafts of each bracket, as in ``solve``.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    keep = projection_test(projection)
-    v = b1v = vec(b1())
-    for _ in range(k - 1):
-        v = sigma(bracket(b1v, v, keep), sigma_normalization)
-    return v

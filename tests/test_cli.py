@@ -1,9 +1,14 @@
 """Command-line interface: outputs, determinism, and exit codes."""
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
-from graphdgla import cli
+from graphdgla import algebra, checks, cli
 from graphdgla.cli import (
     EXIT_CAP, EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main,
 )
@@ -39,6 +44,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def linear_alt(n):
+    """The refuted sigma normalization, -1/(2^{n-1} - 1) per term."""
+    return Fraction(-1, 2 ** (n - 1) - 1)
 
 
 class TestEnumerate:
@@ -143,12 +153,14 @@ class TestSolve:
         assert evaluated["nonzero_triples"] == count
         assert (evaluated["sample"] is None) == (count == 0)
 
-    def test_negative_control(self, capsys):
+    def test_negative_control(self, capsys, monkeypatch):
         # the wrong sigma normalization must break the Moyal identity
-        code = main(["solve", "4", "--projection", "constant",
-                     "--sigma-norm", "linear-alt"])
-        capsys.readouterr()
-        assert code == EXIT_CHECK_FAILED
+        monkeypatch.setattr(algebra, "sigma_normalization", linear_alt)
+        for fmt in ("text", "json"):
+            code, out = run(capsys, "solve", "4", "--projection", "constant",
+                            "--format", fmt)
+            assert code == EXIT_CHECK_FAILED
+        assert json.loads(out)["moyal_ok"] is False
 
     def test_bad_poisson_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -323,6 +335,20 @@ class TestEvaluate:
         assert out == "246913578024691357802469135781/2\n"
 
 
+def test_benchmark_tracer_binds_every_traced_name():
+    # benchmark/tracing.py wraps named functions of graphdgla and raises on a
+    # name that is gone, which would break the traced benchmark run
+    code = (
+        'import sys; sys.path[:0] = ["benchmark", "src"]; import tracing; '
+        "tracing.install(tracing.Tracer())"
+    )
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     # a fault of the engine is neither a failed check (1) nor a traceback
     def crash(args):
@@ -395,6 +421,9 @@ def test_format_offers_only_what_is_printed(capsys, argv):
         ("solve", "2", "--bogus"),
         ("solve", "2", "--corpus-degree", "3"),
         ("enumerate", "2"),
+        # the sigma normalization and the antipode sign are fixed, not options
+        ("solve", "2", "--sigma-norm", "merger"),
+        ("selftest", "--antipode-sign", "reversal"),
     ],
 )
 def test_malformed_command_line(capsys, argv):
@@ -447,12 +476,27 @@ class TestSelftest:
         assert all(json.loads(out).values())
         assert list(json.loads(out)) == SELFTEST_NAMES
 
-    def test_paper_antipode_sign_fails(self, capsys):
-        # the antipode convention reaches the check: (-1)^m breaks the morphism
-        code, out = run(capsys, "selftest", "--only", "antipode",
-                        "--antipode-sign", "paper", "--format", "json")
+    def test_paper_antipode_sign_fails(self, capsys, monkeypatch):
+        # a check that fails exits 1 in either format: the antipode check
+        # with the refuted sign (-1)^m, which sends b1 to -b1
+        def paper_sign(m):
+            return -1 if m % 2 else 1
+
+        def antipode_with_paper_sign():
+            monkeypatch.setattr(algebra, "antipode_sign", paper_sign)
+            return checks.antipode_morphism()
+
+        monkeypatch.setitem(checks.CHECKS, "antipode", antipode_with_paper_sign)
+        code, out = run(capsys, "selftest", "--only", "antipode")
+        assert code == EXIT_CHECK_FAILED and out.split() == ["antipode", "FAIL"]
+        code, out = run(capsys, "selftest", "--only", "antipode", "--format", "json")
         assert code == EXIT_CHECK_FAILED
         assert json.loads(out) == {"antipode": False}
+
+    def test_n_reaches_delta_sum(self, capsys, monkeypatch):
+        monkeypatch.setitem(checks.CHECKS, "delta-sum", lambda n: n == 7)
+        assert run(capsys, "selftest", "--only", "delta-sum", "--n", "7")[0] == EXIT_OK
+        assert run(capsys, "selftest", "--only", "delta-sum")[0] == EXIT_CHECK_FAILED
 
     def test_only_delta_sum(self, capsys):
         code, _ = run(capsys, "selftest", "--only", "delta-sum", "--n", "20")
@@ -463,7 +507,14 @@ class TestSelftest:
         capsys.readouterr()
         assert code == EXIT_INPUT
 
-    def test_corrupted_normalization_fails(self, capsys):
-        code = main(["selftest", "--only", "moyal", "--sigma-norm", "linear-alt"])
-        capsys.readouterr()
+    def test_corrupted_normalization_fails(self, capsys, monkeypatch):
+        def moyal_with_linear_alt():
+            monkeypatch.setattr(algebra, "sigma_normalization", linear_alt)
+            return checks.moyal()
+
+        monkeypatch.setitem(checks.CHECKS, "moyal", moyal_with_linear_alt)
+        code, out = run(capsys, "selftest", "--only", "moyal")
+        assert code == EXIT_CHECK_FAILED and out.split() == ["moyal", "FAIL"]
+        code, out = run(capsys, "selftest", "--only", "moyal", "--format", "json")
         assert code == EXIT_CHECK_FAILED
+        assert json.loads(out) == {"moyal": False}

@@ -17,13 +17,8 @@ from graphdgla.graphs import (
     _canonicalize_forced,
     c2R,
     canonicalize,
-    empty_graph,
     enumerate_classes,
-    gamma1,
-    gamma2,
-    gamma3,
     merge_boundary,
-    superpose,
     transpose,
     wedge,
 )
@@ -244,7 +239,7 @@ class TestEnumerate:
     def test_1_3_is_three_wedges(self):
         classes = enumerate_classes(1, 3)
         got = {c.graph for c in classes}
-        assert got == {gamma1().graph, gamma2().graph, gamma3().graph}
+        assert got == {wedge(3, 2, 3).graph, wedge(3, 1, 3).graph, wedge(3, 1, 2).graph}
         assert len(classes) == 3
 
     def test_signs_all_plus_one(self):
@@ -379,55 +374,13 @@ class TestTranspose:
         assert t.graph == b0().graph and t.sign == 1
 
     def test_gamma3(self):
-        t = transpose(gamma3())
-        assert t.graph == gamma1().graph and t.sign == -1
+        t = transpose(wedge(3, 1, 2))
+        assert t.graph == wedge(3, 2, 3).graph and t.sign == -1
 
     def test_involution(self):
         for c in enumerate_classes(2, 3):
             tt = transpose(transpose(c))
             assert tt.graph == c.graph and tt.sign == 1
-
-
-class TestSuperpose:
-    def test_two_wedges(self):
-        sp = superpose(b1(), b1())
-        assert sp.graph == b1_power(2).graph and sp.sign == 1
-
-    def test_empty_identity(self):
-        for c in enumerate_classes(2, 3):
-            sp = superpose(empty_graph(3), c)
-            assert sp.graph == c.graph and sp.sign == 1
-
-    def test_gamma2_gamma1_is_c2R(self):
-        sp = superpose(gamma2(), gamma1())
-        assert sp.graph == c2R().graph and sp.sign == 1
-
-    def test_commutative(self):
-        pool = enumerate_classes(1, 3)
-        for a in pool:
-            for b in pool:
-                ab = superpose(a, b)
-                ba = superpose(b, a)
-                if ab.is_zero or ba.is_zero:
-                    assert ab.is_zero and ba.is_zero
-                else:
-                    assert ab.graph == ba.graph and ab.sign == ba.sign
-
-    def test_associative(self):
-        pool = enumerate_classes(1, 3)[:2] + enumerate_classes(2, 3)[:2]
-        for a in pool:
-            for b in pool:
-                for c in pool:
-                    lhs = superpose(superpose(a, b), c)
-                    rhs = superpose(a, superpose(b, c))
-                    if lhs.is_zero or rhs.is_zero:
-                        assert lhs.is_zero and rhs.is_zero
-                    else:
-                        assert lhs.graph == rhs.graph and lhs.sign == rhs.sign
-
-    def test_mismatched_arity(self):
-        with pytest.raises(GraphError):
-            superpose(b1(), gamma1())
 
 
 class TestLiterals:

@@ -29,7 +29,6 @@ from graphdgla.kontsevich import (
     evaluate,
     evaluate_graph,
     iter_monomials,
-    star,
     star_series,
 )
 
@@ -581,8 +580,8 @@ class TestStar:
         alpha = PoissonStructure.standard_symplectic(2)
         series = mc.solve(2, "constant")
         x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
-        fwd = star(series, alpha, x1, x2)
-        bwd = star(series, alpha, x2, x1)
+        fwd = star_series(series, alpha, [x1], [x2])
+        bwd = star_series(series, alpha, [x2], [x1])
         assert fwd[0] == x1 * x2 and fwd[1] == Poly.const(2, 1) and fwd[2].is_zero
         assert bwd[0] == x1 * x2 and bwd[1] == Poly.const(2, -1) and bwd[2].is_zero
 
@@ -590,15 +589,15 @@ class TestStar:
         alpha = PoissonStructure.standard_symplectic(2)
         series = mc.solve(3, "constant")
         u = Poly.parse("x1^2*x2 - 3*x2", 2)
-        out = star(series, alpha, u, Poly.const(2, 1))
+        out = star_series(series, alpha, [u], [Poly.const(2, 1)])
         assert out[0] == u and all(p.is_zero for p in out[1:])
 
     def test_so3_order_1_commutator(self):
         alpha = PoissonStructure.so3()
         series = mc.solve(2, "linear")
         x1, x2 = Poly.variable(3, 1), Poly.variable(3, 2)
-        fwd = star(series, alpha, x1, x2)
-        bwd = star(series, alpha, x2, x1)
+        fwd = star_series(series, alpha, [x1], [x2])
+        bwd = star_series(series, alpha, [x2], [x1])
         assert fwd[1] - bwd[1] == Poly.variable(3, 3) * 2
 
 

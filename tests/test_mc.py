@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from graphdgla import mc
+from graphdgla import algebra, mc
 from graphdgla.algebra import (
     GraphVector,
     SigmaDomainError,
@@ -14,6 +14,9 @@ from graphdgla.algebra import (
     bracket,
     differential,
     expand_wedge_basis,
+    keeps_constant,
+    keeps_linear,
+    project,
     project_constant,
     sigma,
     vec,
@@ -64,8 +67,8 @@ class TestSolve:
         assert report.n == 2
         assert report.to_json_obj()["lemma1_identity"] is True
         # exploratory: the residual is produced, no value asserted
-        assert report.residual == mc.apply_projection(
-            mc.differential(series.coeffs[2]) - mc.d_term(series, 2), "linear"
+        assert report.residual == project(
+            mc.differential(series.coeffs[2]) - mc.d_term(series, 2), keeps_linear
         )
 
     def test_hbar_grading(self):
@@ -130,6 +133,22 @@ class TestLemma1Identity:
             for n in range(5):
                 assert mc.lemma1_identity(series, n)
 
+    def test_fails_without_the_gerstenhaber_sign(self, monkeypatch):
+        # the bracket with every slot signed +1 must fail the check at every
+        # order, not only at n = 0
+        series = [mc.solve(4, p) for p in mc.PROJECTIONS]
+
+        def unsigned(f, g, keep=None, sign=1):
+            slots = (
+                (gf, i, cf * sign) for gf, cf in f.terms() for i in range(1, gf.m + 1)
+            )
+            return algebra.grafts(slots, g, keep)
+
+        monkeypatch.setattr(algebra, "compose_terms", unsigned)
+        for s in series:
+            for n in range(5):
+                assert not mc.lemma1_identity(s, n)
+
 
 class TestProjectionCommutes:
     """solve projects only D_n, which is sound because P keeps or drops a
@@ -141,9 +160,8 @@ class TestProjectionCommutes:
             for m in (2, 3, 4):
                 for c in enumerate_classes(n, m):
                     x = GraphVector.from_class(c)
-                    assert mc.apply_projection(sigma(x), projection) == sigma(
-                        mc.apply_projection(x, projection)
-                    )
+                    keep = mc.PROJECTIONS[projection]
+                    assert project(sigma(x), keep) == sigma(project(x, keep))
 
     @pytest.mark.parametrize("projection", ("constant", "linear"))
     def test_differential(self, projection):
@@ -151,8 +169,9 @@ class TestProjectionCommutes:
             for m in (1, 2, 3):
                 for c in enumerate_classes(n, m):
                     x = GraphVector.from_class(c)
-                    assert mc.apply_projection(differential(x), projection) == (
-                        differential(mc.apply_projection(x, projection))
+                    keep = mc.PROJECTIONS[projection]
+                    assert project(differential(x), keep) == differential(
+                        project(x, keep)
                     )
 
 
@@ -170,6 +189,22 @@ def oracle_project(x, projection):
     return GraphVector({g: c for g, c in x.terms() if keep(g)})
 
 
+# sigma's per-term constant: the merger's, and a refuted alternative; the
+# keep filter and the reports must not depend on it
+SIGMA_SCALES = {
+    "merger": algebra.sigma_normalization,
+    "linear-alt": lambda n: Fraction(-1, 2 ** (n - 1) - 1),
+}
+
+
+def tower(k, keep=None):
+    """The initiator tower t^{k-1}(b1), t(v) = sigma(P([b1, v]))."""
+    v = b1v = vec(mc.b1())
+    for _ in range(k - 1):
+        v = sigma(bracket(b1v, v, keep))
+    return v
+
+
 class TestProjectedGrafts:
     """Filtering raw grafts by P's test before canonicalize gives the same
     vectors as forming everything and projecting afterwards."""
@@ -184,9 +219,10 @@ class TestProjectedGrafts:
 
     @pytest.mark.parametrize("normalization", ("merger", "linear-alt"))
     @pytest.mark.parametrize("projection", ("constant", "linear"))
-    def test_d_term(self, projection, normalization):
+    def test_d_term(self, projection, normalization, monkeypatch):
+        monkeypatch.setattr(algebra, "sigma_normalization", SIGMA_SCALES[normalization])
         keep = mc.PROJECTIONS[projection]
-        series = mc.solve(5, projection, normalization)
+        series = mc.solve(5, projection)
         for n in range(6):
             assert mc.d_term(series, n, keep) == oracle_project(
                 mc.d_term(series, n), projection
@@ -196,17 +232,17 @@ class TestProjectedGrafts:
     def test_hat_iteration(self, projection):
         b1v = v = vec(mc.b1())
         for k in range(1, 5):
-            assert mc.hat_iteration(k, projection) == v
+            assert tower(k, mc.PROJECTIONS[projection]) == v
             v = sigma(oracle_project(bracket(b1v, v), projection))
 
     @pytest.mark.parametrize("projection", ("constant", "linear"))
     def test_cocycle_check(self, projection):
-        # the unprojected series tagged with P: its D_{n+1} keeps every graft
-        # P kills, whatever P's test reads
-        series = dataclasses.replace(mc.solve(4), projection=projection)
+        # P(d D_{n+1}) on the unprojected series, whose D_{n+1} keeps every
+        # graft P kills, whatever P's test reads
+        series, keep = mc.solve(4), mc.PROJECTIONS[projection]
         for n in range(5):
             want = differential(oracle_project(mc.d_term(series, n + 1), projection))
-            assert mc.cocycle_check(series, n) == want
+            assert differential(mc.d_term(series, n + 1, keep)) == want
 
 
 class TestBracketTable:
@@ -225,15 +261,16 @@ class TestBracketTable:
 
     @pytest.mark.parametrize("normalization", ("merger", "linear-alt"))
     @pytest.mark.parametrize("projection", mc.PROJECTIONS)
-    def test_reports_match_public_functions(self, projection, normalization):
-        series = mc.solve(4, projection, normalization)
+    def test_reports_match_public_functions(self, projection, normalization, monkeypatch):
+        monkeypatch.setattr(algebra, "sigma_normalization", SIGMA_SCALES[normalization])
+        series = mc.solve(4, projection)
         for r in series.reports:
-            defect = mc.apply_projection(mc.defect(series, r.n), projection)
+            defect = oracle_project(mc.defect(series, r.n), projection)
             residual = mc.differential(r.m_n) - mc.d_term(series, r.n)
             obj = r.to_json_obj()
             assert obj["defect_norm"] == len(defect)
             assert obj["lemma1_identity"] == mc.lemma1_identity(series, r.n)
-            assert r.residual == mc.apply_projection(residual, projection)
+            assert r.residual == oracle_project(residual, projection)
 
 
 class TestCompositionsOracle:
@@ -267,43 +304,41 @@ class TestStorageOrder:
 
 
 class TestCocycle:
+    """P(d D_{n+1}) vanishes when the lower orders close."""
+
     def test_trivial_order(self):
-        assert mc.cocycle_check(mc.initial_series(), 0).is_zero
+        assert differential(mc.d_term(mc.initial_series(), 1)).is_zero
 
     def test_constant_projection(self):
         series = mc.solve(3, "constant")
         for n in (1, 2, 3):
-            assert mc.cocycle_check(series, n).is_zero
+            assert differential(mc.d_term(series, n + 1, keeps_constant)).is_zero
 
 
 class TestContractionResidual:
     def test_reported_not_asserted(self):
         series = mc.solve(3, "none")
         for n in (2, 3):
-            r = mc.contraction_residual(series, n)
+            dn = mc.d_term(series, n)
+            r = differential(sigma(dn)) + sigma(differential(dn)) - dn
             # the almost-contraction law holds only up to Poisson-kernel
             # terms; the residual must die under the constant projection
             assert project_constant(r).is_zero
 
 
 class TestHatIteration:
-    def test_base_case(self):
-        assert mc.hat_iteration(1) == vec(mc.b1())
-
     def test_first_step_constant(self):
         # sigma([b1, b1]) = -b1^2 on the wedge span
-        got = mc.hat_iteration(2, "constant")
-        assert got == -vec(b1_power(2))
         assert project_constant(sigma(bracket(vec(mc.b1()), vec(mc.b1())))) == -vec(
             b1_power(2)
         )
 
     def test_m4_decomposition(self):
-        """m_4 = -1/2 h4 - 1/8 sigma([h2, h2]) with hk = hat_iteration(k),
-        all under the constant projection."""
+        """m_4 = -1/2 h4 - 1/8 sigma([h2, h2]) with hk the initiator tower
+        t^{k-1}(b1), all under the constant projection."""
         series = mc.solve(4, "constant")
-        h4 = mc.hat_iteration(4, "constant")
-        h2 = mc.hat_iteration(2, "constant")
+        h4 = tower(4, keeps_constant)
+        h2 = tower(2, keeps_constant)
         correction = project_constant(sigma(bracket(h2, h2)))
         assert series.coeffs[4] == h4.scale(Fraction(-1, 2)) + correction.scale(
             Fraction(-1, 8)
