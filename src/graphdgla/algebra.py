@@ -11,7 +11,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import (
     GraphError,
@@ -83,10 +83,6 @@ class GraphVector:
     @classmethod
     def from_class(cls, c: SignedGraphClass, coeff=1) -> "GraphVector":
         return cls.combine([(c, Fraction(coeff))])
-
-    @classmethod
-    def from_graph(cls, g: LabeledGraph, coeff=1) -> "GraphVector":
-        return cls.from_class(canonicalize(g), coeff)
 
     @classmethod
     def combine(cls, pairs: Iterable[tuple[SignedGraphClass, Fraction]]) -> "GraphVector":
@@ -221,12 +217,21 @@ def vec(c: SignedGraphClass, coeff=1) -> GraphVector:
 # -- insertion composition -------------------------------------------------
 
 
-def _reattachments(f: LabeledGraph, i: int, g: LabeledGraph) -> Iterator[LabeledGraph]:
-    """All graphs obtained by grafting ``g`` into boundary slot ``i`` of ``f``.
+def _reattachments(
+    f: LabeledGraph, i: int, g: LabeledGraph, bound: Optional[int]
+) -> Iterator[LabeledGraph]:
+    """The graphs obtained by grafting ``g`` into boundary slot ``i`` of
+    ``f`` that fit ``bound``, a projection: the degree of the entries of
+    alpha (``PROJECTIONS``), or None for every graft.
 
     The edges of ``f`` that landed on slot ``i`` are reassigned to every
-    vertex of ``g`` (boundary or internal) in all possible ways.
+    vertex of ``g`` (boundary or internal) in all possible ways.  A graft
+    keeps the internal in-degrees of ``f`` and ``g``, and each reassigned
+    edge adds one at its target, so only the choices that leave every
+    internal vertex of ``g`` within ``bound`` are made, in the same order.
     """
+    if not (f.fits(bound) and g.fits(bound)):
+        return
     mf, mg, nf = f.m, g.m, f.n
     new_m = mf + mg - 1
     slot = i - 1
@@ -246,36 +251,37 @@ def _reattachments(f: LabeledGraph, i: int, g: LabeledGraph) -> Iterator[Labeled
         (k, pos) for k, pair in enumerate(base) for pos in (0, 1) if pair[pos] is None
     ]
     g_part = tuple((remap_g(a), remap_g(b)) for a, b in g.targets)
-    g_vertices = [slot + t for t in range(mg)] + [new_m + nf + k for k in range(g.n)]
+    # how many reassigned edges each internal vertex of g can still take
+    room = {new_m + nf + k: len(loose) if bound is None else bound - d
+            for k, d in enumerate(g.in_degrees()[mg:])}
+    g_vertices = [slot + t for t in range(mg)] + [v for v, r in room.items() if r > 0]
+    tight = [(v, r) for v, r in room.items() if 0 < r < len(loose)]
     for choice in itertools.product(g_vertices, repeat=len(loose)):
+        if tight and any(choice.count(v) > r for v, r in tight):
+            continue
         filled = [pair[:] for pair in base]
         for (k, pos), target in zip(loose, choice):
             filled[k][pos] = target
         yield LabeledGraph(new_m, tuple((a, b) for a, b in filled) + g_part)
 
 
-Keep = Optional[Callable[[LabeledGraph], bool]]
-
-
-def grafts(slots: Iterable[tuple], g: GraphVector, keep: Keep = None) -> Iterator[tuple]:
+def grafts(slots: Iterable[tuple], g: GraphVector, bound: Optional[int]) -> Iterator[tuple]:
     """(class, c * cg) for every graft of each term cg * gg of ``g`` into slot
     i of gf, over the (gf, i, c) in ``slots``: the one place grafts are made.
 
-    ``keep``, if given, is tested on each raw graft before ``canonicalize``
-    and drops the grafts it rejects.  It must not depend on the labelling; a
-    projection's ``keeps_*`` test gives the projected sum.
+    Only the grafts that fit ``bound``, a projection's entry degree of
+    alpha (``PROJECTIONS``), are made, so the sum is the projected one.
     """
     for gf, i, c in slots:
         if not 1 <= i <= gf.m:
             raise GraphError("insertion position %d out of range for m=%d" % (i, gf.m))
         for gg, cg in g.terms():
             coeff = c * cg
-            for raw in _reattachments(gf, i, gg):
-                if keep is None or keep(raw):
-                    yield canonicalize(raw), coeff
+            for raw in _reattachments(gf, i, gg, bound):
+                yield canonicalize(raw), coeff
 
 
-def compose_terms(f: GraphVector, g: GraphVector, keep: Keep = None, sign: int = 1):
+def compose_terms(f: GraphVector, g: GraphVector, bound: Optional[int] = None, sign: int = 1):
     """The grafts of sign * (f o g): every slot i of every term of ``f``, in
     storage order, with the Gerstenhaber sign (-1)^{(i-1)|g|}."""
     if f.is_zero or g.is_zero:
@@ -287,12 +293,12 @@ def compose_terms(f: GraphVector, g: GraphVector, keep: Keep = None, sign: int =
     slots = (
         (gf, i, cf * signs[(i - 1) % 2]) for gf, cf in f.terms() for i in range(1, gf.m + 1)
     )
-    return grafts(slots, g, keep)
+    return grafts(slots, g, bound)
 
 
 def insert(f: GraphVector, i: int, g: GraphVector) -> GraphVector:
     """The operation f o_i g, extended bilinearly."""
-    return GraphVector.combine(grafts(((gf, i, cf) for gf, cf in f), g))
+    return GraphVector.combine(grafts(((gf, i, cf) for gf, cf in f), g, None))
 
 
 def compose(f: GraphVector, g: GraphVector) -> GraphVector:
@@ -300,11 +306,8 @@ def compose(f: GraphVector, g: GraphVector) -> GraphVector:
     return GraphVector.combine(compose_terms(f, g))
 
 
-def bracket(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
-    """Graded Lie bracket [f, g] = f o g - (-1)^{|f||g|} g o f.
-
-    ``keep`` filters the raw grafts as in ``grafts``.
-    """
+def bracket(f: GraphVector, g: GraphVector) -> GraphVector:
+    """Graded Lie bracket [f, g] = f o g - (-1)^{|f||g|} g o f."""
     if f.is_zero or g.is_zero:
         return GraphVector()
     df, dg = f.lie_degree(), g.lie_degree()
@@ -312,7 +315,7 @@ def bracket(f: GraphVector, g: GraphVector, keep: Keep = None) -> GraphVector:
         raise GraphError("bracket requires m-homogeneous arguments")
     sign = 1 if (df * dg) % 2 else -1
     return GraphVector.combine(
-        itertools.chain(compose_terms(f, g, keep), compose_terms(g, f, keep, sign))
+        itertools.chain(compose_terms(f, g), compose_terms(g, f, sign=sign))
     )
 
 
@@ -354,31 +357,20 @@ def sigma(f: GraphVector) -> GraphVector:
 
 # -- Poisson-kernel projections -------------------------------------------
 
-
-def keeps_constant(g: LabeledGraph) -> bool:
-    """The constant projection's test: no edge lands on an internal vertex."""
-    return not g.has_internal_landing()
-
-
-def keeps_linear(g: LabeledGraph) -> bool:
-    """The linear projection's test: every internal in-degree is <= 1."""
-    return all(d <= 1 for d in g.internal_in_degrees())
+# A projection is the degree of the entries of alpha.  An internal vertex of
+# in-degree k applies k derivatives to an entry (Kontsevich's rule), so a
+# graph dies exactly when it does not fit that degree; None keeps every graph.
+PROJECTIONS: dict[str, Optional[int]] = {"none": None, "constant": 0, "linear": 1}
 
 
-# Each projection's test on a graph; None keeps every graph.
-PROJECTIONS: dict[str, Keep] = {
-    "none": None, "constant": keeps_constant, "linear": keeps_linear,
-}
-
-
-def project(f: GraphVector, keep: Callable[[LabeledGraph], bool]) -> GraphVector:
-    """The terms of ``f`` whose graph passes ``keep``."""
-    return GraphVector({g: c for g, c in f.terms() if keep(g)})
+def project(f: GraphVector, bound: Optional[int]) -> GraphVector:
+    """The terms of ``f`` whose graph fits ``bound`` (``LabeledGraph.fits``)."""
+    return GraphVector({g: c for g, c in f.terms() if g.fits(bound)})
 
 
 def project_constant(f: GraphVector) -> GraphVector:
     """Kill every term with an edge landing on an internal vertex."""
-    return project(f, keeps_constant)
+    return project(f, PROJECTIONS["constant"])
 
 
 # -- wedge basis -----------------------------------------------------------

@@ -91,14 +91,17 @@ def simplicial() -> bool:
 
 
 def antipode_morphism() -> bool:
-    """S fixes b1, is an involution and a morphism of o on G_{n,2}, n <= 2."""
+    """S fixes b1, is an involution on G_{n,2}, n <= 2, and a morphism of o
+    on pairs from there and from G_{n,m}, n <= 1, m = 1..3.  Only the mixed
+    arities can expose a wrong sign such as a constant -1."""
     pool = [vec(c) for c in _classes(range(3), (2,))]
+    mixed = [vec(c) for c in _classes(range(2), (1, 2, 3))]
     return (
         antipode(vec(b1())) == vec(b1())
         and all(antipode(antipode(f)) == f for f in pool)
         and all(
             antipode(compose(f, g)) == compose(antipode(f), antipode(g))
-            for f in pool for g in pool
+            for p in (pool, mixed) for f in p for g in p
         )
     )
 
@@ -130,7 +133,7 @@ def kernel_consistency() -> bool:
     """
     alpha = PoissonStructure.standard_symplectic(2)
     v = Poly.parse("x1*x2", 2)
-    landing = [c for c in _classes(range(4), (2,)) if c.graph.has_internal_landing()]
+    landing = [c for c in _classes(range(4), (2,)) if not c.graph.fits(0)]
     for u, at_b1, at_b1_squared in _KERNEL_VALUES:
         fs = [Poly.parse(u, 2), v]
         if (

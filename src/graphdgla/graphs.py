@@ -63,11 +63,10 @@ class LabeledGraph:
             deg[b] += 1
         return deg
 
-    def internal_in_degrees(self) -> list[int]:
-        return self.in_degrees()[self.m:]
-
-    def has_internal_landing(self) -> bool:
-        return any(t >= self.m for a, b in self.targets for t in (a, b))
+    def fits(self, bound: Optional[int]) -> bool:
+        """True when every internal in-degree is <= ``bound``; None admits
+        every graph.  A projection is such a bound (``algebra.PROJECTIONS``)."""
+        return bound is None or all(d <= bound for d in self.in_degrees()[self.m:])
 
     def sort_key(self) -> tuple:
         return (self.n, self.targets)
@@ -173,6 +172,11 @@ def canonicalize(g: LabeledGraph) -> SignedGraphClass:
     search that places only the vertices the lex-min order can put next;
     smaller ones try all n!.
     Both give the same class, sign and zero verdict.
+
+    ``g`` must be admissible: the input is not validated here.  Graphs from
+    outside enter through ``LabeledGraph.from_literal``, which validates
+    them, and every graph the library builds from admissible ones (grafts,
+    boundary merges, transposes) is admissible by construction.
     """
     if g.n > _BRUTE_FORCE_MAX_N:
         return _canonicalize_forced(g)
@@ -187,7 +191,6 @@ def _signed_class(m: int, best: tuple, parities: set[int]) -> SignedGraphClass:
 
 def _canonicalize_brute(g: LabeledGraph) -> SignedGraphClass:
     """``canonicalize`` by trying all n! relabellings; the reference search."""
-    g.validate()
     n, m = g.n, g.m
     if n == 0:
         return SignedGraphClass(g, 1)
@@ -245,7 +248,6 @@ def _canonicalize_forced(g: LabeledGraph) -> SignedGraphClass:
     Every lex-min relabelling survives these cuts, so each leaf compares
     its encoding with the best and collects both swap parities on a tie.
     """
-    g.validate()
     n, m = g.n, g.m
     if n == 0:
         return SignedGraphClass(g, 1)
@@ -366,7 +368,7 @@ def enumerate_classes(
     """All nonzero orientation classes of G_{n,m}, each once with sign +1.
 
     Deterministic lexicographic order of the canonical encodings.  Classes
-    violating ``max_in_degree`` at some internal vertex are omitted.
+    that do not fit ``max_in_degree`` (``LabeledGraph.fits``) are omitted.
 
     Candidates come from an orderly walk (``_orderly_assignments``) and only
     those are canonicalized.  ``cap`` still bounds the labeled space
@@ -395,13 +397,8 @@ def enumerate_classes(
         vertex_options.append(opts)
     for assignment in _orderly_assignments(m, vertex_options):
         c = canonicalize(LabeledGraph(m, assignment))
-        if c.is_zero:
-            continue
-        if max_in_degree is not None and any(
-            d > max_in_degree for d in c.graph.internal_in_degrees()
-        ):
-            continue
-        seen.add(c.graph)
+        if not c.is_zero and c.graph.fits(max_in_degree):
+            seen.add(c.graph)
     return [SignedGraphClass(g, 1) for g in sorted(seen, key=LabeledGraph.sort_key)]
 
 

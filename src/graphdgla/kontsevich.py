@@ -144,10 +144,6 @@ class Poly:
                                   for e, c in self._derivative(idx[:-1]).items() if e[k]}
         return got
 
-    def diff(self, i: int) -> "Poly":
-        """Partial derivative with respect to x_i (1-based)."""
-        return self.multi_diff((i,))
-
     def multi_diff(self, indices: Iterable[int]) -> "Poly":
         """d_{i_1} ... d_{i_k} of self, for 1-based indices."""
         idx = tuple(sorted(indices))
@@ -496,10 +492,10 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
         raise GraphError("evaluation requires an m-homogeneous vector, got m = %s"
                          % ", ".join(map(str, sorted({g.m for g, _ in x.terms()}))))
     d = alpha.d
-    # a graph failing its structure's kind test differentiates some vertex
-    # tensor past its polynomial degree, so every edge assignment of it is zero
-    keep = PROJECTIONS[alpha.kind]
-    kept = [(g, c) for g, c in x.terms() if keep(g)]
+    # a graph that does not fit its structure's kind differentiates some
+    # vertex tensor past its polynomial degree, so every edge assignment is zero
+    bound = PROJECTIONS[alpha.kind]
+    kept = [(g, c) for g, c in x.terms() if g.fits(bound)]
     # a common multiple of every assignment's c.denominator * prod(entry dens)
     entry_den = math.lcm(*(p.den for _, _, p in alpha.entries))
     den = math.lcm(*(c.denominator * entry_den ** g.n for g, c in kept))

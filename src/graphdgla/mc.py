@@ -2,19 +2,19 @@
 
 Builds the star-product series order by order as m_n = P(sigma(D_n)), where P
 is an optional Poisson-kernel projection, and exposes the associativity
-defects and the Lemma-1 check per order.  P keeps or drops a graph by a test
-on its internal in-degrees (``PROJECTIONS``), so it is applied to each raw
-graft of D_n before the graft is canonicalized.
+defects and the Lemma-1 check per order.  A projection is the degree of the
+entries of alpha (``PROJECTIONS``): P keeps a graph when no internal
+in-degree exceeds it, so the compositions of D_n never make a graft P kills.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .algebra import (
     PROJECTIONS,
     GraphVector,
-    Keep,
     bracket,
     compose_terms,
     differential,
@@ -69,7 +69,7 @@ def initial_series(projection: str = "none") -> StarSeries:
     return StarSeries([vec(b0()), vec(b1())], projection)
 
 
-def _compositions(series: StarSeries, n: int, lo: int, weight: int, keep: Keep = None):
+def _compositions(series: StarSeries, n: int, lo: int, weight: int, bound: Optional[int]):
     """weight * sum_{j=lo}^{n-lo} m_j o m_{n-j}, each composition formed once.
 
     Every m_j has Lie degree 1, so [m_j, m_k] = m_j o m_k + m_k o m_j and a
@@ -78,24 +78,24 @@ def _compositions(series: StarSeries, n: int, lo: int, weight: int, keep: Keep =
     if n - lo > series.order:
         raise ValueError("missing lower-order coefficients for order %d" % n)
     m = series.coeffs
-    terms = (compose_terms(m[j], m[n - j], keep, weight) for j in range(lo, n - lo + 1))
+    terms = (compose_terms(m[j], m[n - j], bound, weight) for j in range(lo, n - lo + 1))
     return GraphVector.combine(itertools.chain.from_iterable(terms))
 
 
-def d_term(series: StarSeries, n: int, keep: Keep = None) -> GraphVector:
+def d_term(series: StarSeries, n: int, bound: Optional[int] = None) -> GraphVector:
     """D_n = -sum_{j+k=n, j,k>=1} m_j o m_k = -1/2 sum [m_j, m_k]; zero for n=1.
 
-    With ``keep`` a projection's test, the result is P(D_n): the compositions
-    drop the grafts P would kill before canonicalizing them.
+    With ``bound`` a projection, the result is P(D_n): the compositions make
+    only the grafts that fit it.
     """
     if n < 0:
         raise ValueError("d_term defined for n >= 0")
-    return _compositions(series, n, 1, -1, keep)
+    return _compositions(series, n, 1, -1, bound)
 
 
 def defect(series: StarSeries, n: int) -> GraphVector:
     """Order-n associativity defect 2 sum_{i+j=n} m_i o m_j (no projection)."""
-    return _compositions(series, n, 0, 2)
+    return _compositions(series, n, 0, 2, None)
 
 
 def lemma1_identity(series: StarSeries, n: int) -> bool:
@@ -127,7 +127,7 @@ def solve(N: int, projection: str = "none") -> StarSeries:
     keeps or drops a graph by its internal in-degrees, which grafting fixes
     once a graft is made, and which sigma (a boundary merge), d = [b0, .]
     and [., m_0] (grafts of b0, which has no internal vertex) all preserve.
-    So the compositions of D_n drop each graft P kills before canonicalizing it,
+    So the compositions of D_n make only the grafts P keeps,
     m_n = sigma(P(D_n)), and d m_n is already projected.  Each order reports
     residual = d m_n - P(D_n); see ``OrderReport`` for why that is the whole
     projected defect.
@@ -139,10 +139,10 @@ def solve(N: int, projection: str = "none") -> StarSeries:
         raise ValueError("truncation order must be >= 1")
     if projection not in PROJECTIONS:
         raise ValueError("unknown projection %r" % projection)
-    keep = PROJECTIONS[projection]
+    bound = PROJECTIONS[projection]
     series = initial_series(projection)
     for n in range(2, N + 1):
-        dn = d_term(series, n, keep)
+        dn = d_term(series, n, bound)
         mn = sigma(dn)
         series.coeffs.append(mn)
         series.reports.append(OrderReport(n, mn, differential(mn) - dn))

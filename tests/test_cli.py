@@ -118,6 +118,27 @@ class TestVectorCommands:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert token in captured.err
 
+    # canonicalize trusts its input, so an inadmissible graph must be
+    # stopped where the literal is read
+    @pytest.mark.parametrize(
+        "literal, problem",
+        [("G{m=2; v1=(v1,b1)}", "self-loop"), ("G{m=2; v1=(b1,b1)}", "double edge")],
+        ids=["self-loop", "double-edge"],
+    )
+    @pytest.mark.parametrize("command", ["sigma", "compose", "evaluate"])
+    def test_inadmissible_graph(self, capsys, symplectic_file, command, literal, problem):
+        argv = {
+            "sigma": ["sigma", literal],
+            "compose": ["compose", literal, "G{m=2;}"],
+            "evaluate": ["evaluate", literal, "--poisson", symplectic_file,
+                         "--functions", "x1;x2"],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert problem in captured.err and "v1" in captured.err
+
 
 class TestSolve:
     def test_constant_exit_ok(self, capsys):

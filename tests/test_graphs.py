@@ -266,8 +266,16 @@ class TestEnumerate:
         filtered = enumerate_classes(2, 2, max_in_degree=1)
         kept = {c.graph for c in filtered}
         for c in unfiltered:
-            degs = c.graph.internal_in_degrees()
+            degs = c.graph.in_degrees()[c.graph.m:]
             assert (c.graph in kept) == (max(degs, default=0) <= 1)
+
+    def test_fits_bounds_every_internal_in_degree(self):
+        for g in itertools.chain(all_labeled_graphs(2, 2), all_labeled_graphs(3, 1)):
+            landings = [t for pair in g.targets for t in pair if t >= g.m]
+            most = max((landings.count(t) for t in landings), default=0)
+            assert g.fits(None)
+            for bound in range(4):
+                assert g.fits(bound) == (most <= bound), (g, bound)
 
     def test_resource_cap(self, monkeypatch):
         def refuse(*args):
@@ -301,7 +309,7 @@ def ref_enumerate_classes(n, m, max_in_degree=None):
         if c.is_zero:
             continue
         if max_in_degree is not None and any(
-            d > max_in_degree for d in c.graph.internal_in_degrees()
+            d > max_in_degree for d in c.graph.in_degrees()[m:]
         ):
             continue
         seen.add(c.graph)
