@@ -81,10 +81,6 @@ class GraphVector:
         self._hash: Optional[int] = None
 
     @classmethod
-    def from_class(cls, c: SignedGraphClass, coeff=1) -> "GraphVector":
-        return cls.combine([(c, Fraction(coeff))])
-
-    @classmethod
     def combine(cls, pairs: Iterable[tuple[SignedGraphClass, Fraction]]) -> "GraphVector":
         """The sum of coeff * class over (SignedGraphClass, coeff) pairs.
 
@@ -211,7 +207,7 @@ class GraphVector:
 
 
 def vec(c: SignedGraphClass, coeff=1) -> GraphVector:
-    return GraphVector.from_class(c, coeff)
+    return GraphVector.combine([(c, Fraction(coeff))])
 
 
 # -- insertion composition -------------------------------------------------

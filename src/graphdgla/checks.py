@@ -1,7 +1,7 @@
 """The paper's identities as plain checks, shared by ``selftest`` and the tests.
 
-``CHECKS`` maps each selftest name to a function that returns a bool.  Only
-``delta-sum`` takes a parameter, the bound ``n`` that ``selftest --n`` sets.
+``CHECKS`` maps each selftest name to a function of no arguments that returns
+a bool.
 """
 from __future__ import annotations
 
@@ -36,9 +36,9 @@ def defects_vanish(series: mc.StarSeries) -> bool:
     )
 
 
-def delta_sum(n: int = 20) -> bool:
-    """sum_{i+j=k} delta(i, j) cancels for every k <= n."""
-    return all(delta_sum_check(k) for k in range(n + 1))
+def delta_sum() -> bool:
+    """sum_{i+j=k} delta(i, j) cancels for every k <= 20."""
+    return all(delta_sum_check(k) for k in range(21))
 
 
 def d2_regression() -> bool:

@@ -22,6 +22,10 @@ Pair = tuple[int, int]
 
 DEFAULT_CAP = 10**8
 
+# the most boundary vertices a literal may declare: work and memory grow
+# with m, so an absurd m is rejected where it is read
+MAX_LITERAL_M = 10_000
+
 
 class GraphError(ValueError):
     """Structurally inadmissible graph or invalid index."""
@@ -91,6 +95,8 @@ class LabeledGraph:
         if match is None:
             raise GraphError("malformed graph literal: %r" % text)
         m = int(match.group(1))
+        if m > MAX_LITERAL_M:
+            raise GraphError("m=%d exceeds the limit of %d boundary vertices" % (m, MAX_LITERAL_M))
         body = (match.group(2) or "").strip().rstrip(";")
         entries: dict[int, Pair] = {}
 

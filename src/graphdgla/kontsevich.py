@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .algebra import PROJECTIONS, GraphVector, add_terms, split_signed_terms
+from .algebra import PROJECTIONS, GraphVector, add_terms, split_signed_terms, vec
 from .graphs import GraphError, LabeledGraph, SignedGraphClass
 from .mc import StarSeries
 
@@ -535,7 +535,7 @@ def evaluate(
 ) -> Poly:
     """Kontsevich-rule evaluation, extended linearly and by sign."""
     if isinstance(x, SignedGraphClass):
-        x = GraphVector.from_class(x)
+        x = vec(x)
     return compile_vector(x, alpha)(fs)
 
 

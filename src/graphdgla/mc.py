@@ -1,10 +1,12 @@
 """Iterative solution of the deformation equation via the merger contraction.
 
 Builds the star-product series order by order as m_n = P(sigma(D_n)), where P
-is an optional Poisson-kernel projection, and exposes the associativity
-defects and the Lemma-1 check per order.  A projection is the degree of the
-entries of alpha (``PROJECTIONS``): P keeps a graph when no internal
-in-degree exceeds it, so the compositions of D_n never make a graft P kills.
+is an optional Poisson-kernel projection, keeping each m_n and its residual
+d m_n - P(D_n), and exposes the associativity defects and the Lemma-1 check
+per order.  ``graphdgla solve`` writes the per-order report from these two
+vectors.  A projection is the degree of the entries of alpha
+(``PROJECTIONS``): P keeps a graph when no internal in-degree exceeds it, so
+the compositions of D_n never make a graft P kills.
 """
 from __future__ import annotations
 
@@ -26,47 +28,23 @@ from .graphs import b0, b1
 
 
 @dataclass
-class OrderReport:
-    """Per-order diagnostics emitted by solve().
+class StarSeries:
+    """Truncated star-product series.
 
-    The bracket is symmetric on m_n and m_0 (see ``_compositions``), so
-    [m_n, m_0] = [m_0, m_n] = d m_n and the projected defect
-    d m_n + [m_n, m_0] - 2 P(D_n) is 2 residual.  Hence the serialized
-    ``"lemma1_identity"`` is constantly true and ``"defect_norm"`` is
-    ``len(residual)``.  ``lemma1_identity`` in this module checks that
-    [m_n, m_0] is d m_n against signed insertions formed on their own
-    (``graphdgla selftest --only lemma1``).
+    coeffs[n] is the order-n graph vector m_n; residuals[n - 2] is
+    d m_n - P(D_n) for order n >= 2, reported, not asserted.
     """
 
-    n: int
-    m_n: GraphVector
-    residual: GraphVector  # d m_n - P(D_n), reported, not asserted
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "m_n": self.m_n.to_json_obj(),
-            "residual": self.residual.to_json_obj(),
-            "lemma1_identity": True,
-            "defect_norm": len(self.residual),
-        }
-
-
-@dataclass
-class StarSeries:
-    """Truncated star-product series; coeffs[n] is the order-n graph vector."""
-
     coeffs: list[GraphVector]
-    projection: str = "none"
-    reports: list[OrderReport] = field(default_factory=list)
+    residuals: list[GraphVector] = field(default_factory=list)
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
 
-def initial_series(projection: str = "none") -> StarSeries:
-    return StarSeries([vec(b0()), vec(b1())], projection)
+def initial_series() -> StarSeries:
+    return StarSeries([vec(b0()), vec(b1())])
 
 
 def _compositions(series: StarSeries, n: int, lo: int, weight: int, bound: Optional[int]):
@@ -128,9 +106,12 @@ def solve(N: int, projection: str = "none") -> StarSeries:
     once a graft is made, and which sigma (a boundary merge), d = [b0, .]
     and [., m_0] (grafts of b0, which has no internal vertex) all preserve.
     So the compositions of D_n make only the grafts P keeps,
-    m_n = sigma(P(D_n)), and d m_n is already projected.  Each order reports
-    residual = d m_n - P(D_n); see ``OrderReport`` for why that is the whole
-    projected defect.
+    m_n = sigma(P(D_n)), and d m_n is already projected.  Each order keeps
+    residual = d m_n - P(D_n).  The bracket is symmetric on m_n and m_0
+    (see ``_compositions``), so [m_n, m_0] = [m_0, m_n] = d m_n and the
+    projected defect d m_n + [m_n, m_0] - 2 P(D_n) is 2 residual.
+    ``lemma1_identity`` checks that [m_n, m_0] is d m_n against signed
+    insertions formed on their own.
 
     Raises SigmaDomainError if a term of some P(D_n) has fewer than two
     internal vertices, where sigma is undefined.
@@ -140,10 +121,10 @@ def solve(N: int, projection: str = "none") -> StarSeries:
     if projection not in PROJECTIONS:
         raise ValueError("unknown projection %r" % projection)
     bound = PROJECTIONS[projection]
-    series = initial_series(projection)
+    series = initial_series()
     for n in range(2, N + 1):
         dn = d_term(series, n, bound)
         mn = sigma(dn)
         series.coeffs.append(mn)
-        series.reports.append(OrderReport(n, mn, differential(mn) - dn))
+        series.residuals.append(differential(mn) - dn)
     return series

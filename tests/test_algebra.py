@@ -415,7 +415,7 @@ def ref_insert(f, i, g):
     for gf, cf in f:
         for gg, cg in g:
             for raw in _reattachments(gf, i, gg, None):
-                acc = acc + GraphVector.from_class(canonicalize(raw), cf * cg)
+                acc = acc + vec(canonicalize(raw), cf * cg)
     return acc
 
 
@@ -447,7 +447,7 @@ def ref_sigma(f):
             if merged.is_zero:
                 continue
             coeff = norm if (i - 1) % 2 == 0 else -norm
-            acc = acc + GraphVector.from_class(merged, coeff)
+            acc = acc + vec(merged, coeff)
     return acc
 
 
@@ -455,7 +455,7 @@ def ref_antipode(f):
     acc = GraphVector()
     for g, c in f:
         eps = antipode_sign(g.m)
-        acc = acc + GraphVector.from_class(transpose(SignedGraphClass(g, 1)), c * eps)
+        acc = acc + vec(transpose(SignedGraphClass(g, 1)), c * eps)
     return acc
 
 

@@ -12,6 +12,7 @@ from graphdgla import algebra, checks, cli
 from graphdgla.cli import (
     EXIT_CAP, EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main,
 )
+from graphdgla.graphs import MAX_LITERAL_M
 
 SO3_JSON = {
     "d": 3,
@@ -139,6 +140,36 @@ class TestVectorCommands:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert problem in captured.err and "v1" in captured.err
 
+    # lists sized by m would overflow or exhaust memory, and compose loops
+    # over all m slots of its left factor
+    @pytest.mark.parametrize("command", ["sigma", "compose-left", "compose-right", "evaluate"])
+    def test_absurd_boundary_count(self, capsys, symplectic_file, command):
+        m = "99999999999999999999"
+        literal = "G{m=%s; v1=(b1,b2); v2=(b1,b2); v3=(b1,b2); v4=(b1,b2)}" % m
+        argv = {
+            "sigma": ["sigma", literal],
+            "compose-left": ["compose", literal, "G{m=2;}"],
+            "compose-right": ["compose", "G{m=2; v1=(b1,b2)}", literal],
+            "evaluate": ["evaluate", literal, "--poisson", symplectic_file,
+                         "--functions", "x1;x2"],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "m=%s" % m in captured.err
+
+    def test_boundary_count_at_limit(self, capsys):
+        literal = "G{m=%d;}" % MAX_LITERAL_M
+        assert run(capsys, "compose", literal, "G{m=2;}") == (EXIT_OK, "0\n")
+
+    def test_boundary_count_past_limit(self, capsys):
+        code = main(["compose", "G{m=%d;}" % (MAX_LITERAL_M + 1), "G{m=2;}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == "error: m=%d exceeds the limit of %d boundary vertices\n" % (
+            MAX_LITERAL_M + 1, MAX_LITERAL_M)
+
 
 class TestSolve:
     def test_constant_exit_ok(self, capsys):
@@ -201,7 +232,7 @@ class TestSolve:
             ("homology", "--n-max", "-1"),
             ("homology", "--m-max", "-1"),
             ("enumerate", "1", "2", "--max-in-degree", "-1"),
-            ("selftest", "--n", "-1"),
+            ("homology", "--n-max", "-2", "--m-max", "2"),
             ("enumerate", "2", "2", "--cap", "0"),
             ("homology", "--cap", "-7", "--n-max", "0", "--m-max", "2"),
         ],
@@ -445,6 +476,8 @@ def test_format_offers_only_what_is_printed(capsys, argv):
         # the sigma normalization and the antipode sign are fixed, not options
         ("solve", "2", "--sigma-norm", "merger"),
         ("selftest", "--antipode-sign", "reversal"),
+        # delta-sum's bound is fixed too
+        ("selftest", "--n", "7"),
     ],
 )
 def test_malformed_command_line(capsys, argv):
@@ -514,13 +547,8 @@ class TestSelftest:
         assert code == EXIT_CHECK_FAILED
         assert json.loads(out) == {"antipode": False}
 
-    def test_n_reaches_delta_sum(self, capsys, monkeypatch):
-        monkeypatch.setitem(checks.CHECKS, "delta-sum", lambda n: n == 7)
-        assert run(capsys, "selftest", "--only", "delta-sum", "--n", "7")[0] == EXIT_OK
-        assert run(capsys, "selftest", "--only", "delta-sum")[0] == EXIT_CHECK_FAILED
-
     def test_only_delta_sum(self, capsys):
-        code, _ = run(capsys, "selftest", "--only", "delta-sum", "--n", "20")
+        code, _ = run(capsys, "selftest", "--only", "delta-sum")
         assert code == EXIT_OK
 
     def test_unknown_check(self, capsys):

@@ -930,7 +930,7 @@ class TestIntegerKernel:
             for n in range(4):
                 fs = [random_poly(rng, alpha.d, 3, 3) for _ in range(m)]
                 for c in enumerate_classes(n, m):
-                    op = compile_vector(GraphVector.from_class(c), alpha)
+                    op = compile_vector(vec(c), alpha)
                     got = op(fs)
                     assert got == ref_apply(op, fs), (n, c.graph)
                     assert_fraction_coefficients(got)
@@ -1012,7 +1012,7 @@ class TestKindFilter:
         alpha = STRUCTURES[name]
         classes = [c for n in range(4) for c in enumerate_classes(n, 2)]
         for c in classes:
-            x = GraphVector.from_class(c)
+            x = vec(c)
             assert compile_vector(x, alpha) == ref_compile_vector(x, alpha), c.graph
         # one vector mixing kept and dropped graphs, with distinct coefficients
         x = GraphVector.combine((c, Fraction(k + 1, 3)) for k, c in enumerate(classes))
@@ -1026,7 +1026,7 @@ class TestKindFilter:
         ]
         assert dropped
         for c in dropped:
-            x = GraphVector.from_class(c)
+            x = vec(c)
             assert ref_compile_vector(x, alpha).terms == (), c.graph
             assert compile_vector(x, alpha).terms == ()
             assert compile_vector(x, alpha).m == 2
