@@ -20,6 +20,7 @@ from .graphs import (
     b0,
     canonicalize,
     merge_boundary,
+    too_many_digits,
     transpose,
 )
 
@@ -188,6 +189,8 @@ class GraphVector:
             coeff = Fraction(match.group(1) or 1)
         except ZeroDivisionError:
             raise GraphError("zero denominator in term %r" % body.strip()) from None
+        except ValueError:  # more digits than int() converts
+            raise too_many_digits("coefficient", match.group(1)) from None
         return canonicalize(LabeledGraph.from_literal(match.group(2))), sgn * coeff
 
     def to_json_obj(self) -> list[dict]:
@@ -315,12 +318,45 @@ def bracket(f: GraphVector, g: GraphVector) -> GraphVector:
     )
 
 
-_B0_VEC = vec(b0())
+_B0 = b0().graph
 
 
 def differential(f: GraphVector) -> GraphVector:
-    """The pointed differential ad(b0); raises m by one, preserves n."""
-    return bracket(_B0_VEC, f)
+    """The pointed differential ad(b0) = [b0, .]; raises m by one, preserves n.
+
+    Let I_j be a term c * Gamma of ``f`` with an isolated boundary vertex
+    inserted at position j (1 <= j <= m + 1).  In [b0, Gamma], b0 o Gamma
+    is I_{m+1} + (-1)^{m-1} I_1, and Gamma o_i b0 splits slot i in two,
+    reattaching each of its k_i edges to one half, with the sign
+    (-1)^{m+i-1}.  The two extreme splittings of slot i, all edges on one
+    half, are I_i and I_{i+1}; over the slots these telescope to
+    (-1)^m I_1 - I_{m+1} and cancel b0 o Gamma.  When k_i = 0 the two
+    extremes are one graft, I_i, so the telescoping sum holds one I_i too
+    many, and (-1)^{m+i} I_i is left.  So d Gamma is, per slot i, the
+    2^{k_i} - 2 proper splittings (both halves hit) with the sign
+    (-1)^{m+i-1}, or (-1)^{m+i} I_i when k_i = 0; no cancelling graft is
+    made.  The splittings are ``_reattachments`` of b0, filtered.
+    """
+    if f.is_zero:
+        return GraphVector()
+    m = f.boundary_arity()
+    if m is None:
+        raise GraphError("the differential requires an m-homogeneous argument")
+
+    def splittings():
+        for g, c in f.terms():
+            k = g.in_degrees()
+            for i in range(1, m + 1):
+                sign = c if (m + i) % 2 else -c  # (-1)^{m+i-1} c
+                for raw in _reattachments(g, i, _B0, None):
+                    if not k[i - 1]:
+                        yield canonicalize(raw), -sign  # the one graft, I_i
+                    else:
+                        halves = raw.in_degrees()
+                        if halves[i - 1] and halves[i]:
+                            yield canonicalize(raw), sign
+
+    return GraphVector.combine(splittings())
 
 
 # -- merger contraction ----------------------------------------------------

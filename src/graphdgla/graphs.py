@@ -35,6 +35,22 @@ class ResourceCapExceeded(RuntimeError):
     """Enumeration search space exceeds the configured cap."""
 
 
+def too_many_digits(field: str, token: str) -> GraphError:
+    """The error for a number of a literal with more digits than ``int``
+    converts (``sys.get_int_max_str_digits``): it names ``field`` and the
+    start of ``token`` instead of Python's message."""
+    digits = sum(ch.isdigit() for ch in token)
+    return GraphError("%s %r has %d digits, more than a number may have"
+                      % (field, token[:10] + "...", digits))
+
+
+def _literal_int(digits: str, field: str, token: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise too_many_digits(field, token) from None
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """A concrete labeled representative (not necessarily canonical)."""
@@ -94,14 +110,14 @@ class LabeledGraph:
         match = cls._LITERAL_RE.match(text.strip())
         if match is None:
             raise GraphError("malformed graph literal: %r" % text)
-        m = int(match.group(1))
+        m = _literal_int(match.group(1), "m", match.group(1))
         if m > MAX_LITERAL_M:
             raise GraphError("m=%d exceeds the limit of %d boundary vertices" % (m, MAX_LITERAL_M))
         body = (match.group(2) or "").strip().rstrip(";")
         entries: dict[int, Pair] = {}
 
         def parse_target(tok: str) -> int:
-            idx = int(tok[1:])
+            idx = _literal_int(tok[1:], "target", tok)
             if idx < 1:
                 raise GraphError("bad target %r" % tok)
             if tok[0] == "v":
@@ -118,7 +134,7 @@ class LabeledGraph:
                 vm = cls._VERTEX_RE.match(chunk)
                 if vm is None:
                     raise GraphError("malformed vertex entry: %r" % chunk)
-                k = int(vm.group(1)) - 1
+                k = _literal_int(vm.group(1), "vertex label", "v" + vm.group(1)) - 1
                 if k in entries:
                     raise GraphError("duplicate vertex v%d" % (k + 1))
                 entries[k] = (parse_target(vm.group(2)), parse_target(vm.group(3)))

@@ -2,7 +2,10 @@
 
 The differential preserves the internal-vertex count n, so each (n, m)
 component gives a finite exact boundary matrix, ranked by sparse exact
-elimination over Q; a table enumerates each G_{n,m} once.
+elimination over Q; a table enumerates each G_{n,m} once.  A column is the
+differential of one class, which forms only the proper boundary splittings
+of that class (``algebra.differential``), so building a matrix canonicalizes
+no graft that cancels.
 """
 from __future__ import annotations
 
@@ -116,6 +119,10 @@ def merged_differential_factor(c: SignedGraphClass) -> Fraction:
     where i is the in-degree of the boundary vertex: the extreme
     reattachments of the i boundary edges cancel against the two grafts of
     the empty two-point graph, leaving the 2^i - 2 proper splittings.
+    ``algebra.differential`` forms only those splittings, with the sign -1
+    at m = 1, and merging the two halves gives Gamma back from each.  At
+    i = 0 it forms Gamma with a second, isolated boundary vertex, with the
+    sign +1, which merges back to Gamma (lambda = 1 = -(2^0 - 2)).
     """
     lhs = merged_differential(c)
     if lhs.is_zero:

@@ -34,6 +34,7 @@ from graphdgla.algebra import (
 )
 from graphdgla.graphs import (
     ZERO,
+    GraphError,
     LabeledGraph,
     SignedGraphClass,
     canonicalize,
@@ -168,6 +169,60 @@ class TestDifferential:
         for c in enumerate_classes(2, 2):
             for g, _ in differential(vec(c)):
                 assert g.m == 3 and g.n == 2
+
+
+# Every class of G_{n,m}, n <= 3, m <= 4: slots of in-degree 0, adjacent ones
+# among them, and the edgeless G_{0,m}.
+ORACLE_POOL = [c for n in range(4) for m in range(1, 5) for c in enumerate_classes(n, m)]
+
+
+class TestDifferentialOracle:
+    """d forms only the proper splittings; bracket(b0, .) makes every graft."""
+
+    def test_pool_has_the_edge_cases(self):
+        degrees = [c.graph.in_degrees()[: c.graph.m] for c in ORACLE_POOL]
+        assert any(c.graph.n == 0 and c.graph.m == 4 for c in ORACLE_POOL)
+        assert any(0 in d and any(d) for d in degrees)
+        assert any(d[i] == d[i + 1] == 0 and any(d) for d in degrees for i in range(len(d) - 1))
+
+    def test_every_small_class(self):
+        for c in ORACLE_POOL:
+            assert differential(vec(c)).items() == bracket(B0, vec(c)).items()
+
+    @pytest.mark.parametrize("order, projection", [(5, "constant"), (5, "linear"), (4, "none")])
+    def test_solve_coefficients_and_residuals(self, order, projection):
+        series = mc.solve(order, projection)
+        for x in series.coeffs + series.residuals:
+            assert differential(x).items() == bracket(B0, x).items()
+
+    def test_mixed_coefficient_sum(self):
+        x = GraphVector.combine(
+            (c, Fraction(k - 7, 2 * k + 1)) for k, c in enumerate(enumerate_classes(2, 3))
+        )
+        assert len(x) > 10
+        assert differential(x).items() == bracket(B0, x).items()
+
+    def test_zero_vector(self):
+        assert differential(GraphVector()).is_zero
+
+    def test_mixed_arity_raises(self):
+        with pytest.raises(GraphError):
+            differential(B1 + X)
+
+    def test_one_canonicalize_per_proper_splitting(self, monkeypatch):
+        calls = []
+        real = algebra.canonicalize
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(algebra, "canonicalize", counting)
+        for c in ORACLE_POOL:
+            calls.clear()
+            differential(vec(c))
+            k = c.graph.in_degrees()[: c.graph.m]
+            assert len(calls) == sum(2**d - 2 for d in k if d) + k.count(0)
 
 
 class TestSigma:

@@ -24,6 +24,8 @@ SO3_JSON = {
     ],
 }
 
+NINES = "9" * 5000
+
 SYMPLECTIC_JSON = {"d": 2, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]}
 
 
@@ -169,6 +171,24 @@ class TestVectorCommands:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == "error: m=%d exceeds the limit of %d boundary vertices\n" % (
             MAX_LITERAL_M + 1, MAX_LITERAL_M)
+
+    # int() converts at most sys.get_int_max_str_digits() digits (4,300 by
+    # default); past that the error names the field, not Python's limit
+    @pytest.mark.parametrize(
+        "literal, field",
+        [
+            ("G{m=%s;}" % NINES, "m '9999999999...'"),
+            ("G{m=2; v%s=(b1,b2)}" % NINES, "vertex label 'v999999999...'"),
+            ("G{m=2; v1=(b1,v%s)}" % NINES, "target 'v999999999...'"),
+            ("%s * G{m=2; v1=(b1,b2)}" % NINES, "coefficient '9999999999...'"),
+        ],
+        ids=["m", "vertex-label", "target", "coefficient"],
+    )
+    def test_number_past_int_digit_limit(self, capsys, literal, field):
+        code = main(["sigma", literal])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == "error: %s has 5000 digits, more than a number may have\n" % field
 
 
 class TestSolve:
