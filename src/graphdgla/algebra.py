@@ -7,6 +7,7 @@ projections, the wedge-basis expansion and the antipodal map.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 from collections import Counter
@@ -72,13 +73,15 @@ def split_signed_terms(text: str) -> list[tuple[int, str]]:
 
 
 class GraphVector:
-    """Finite formal sum of canonical graph classes with rational coefficients."""
+    """Finite formal sum of canonical graph classes with rational coefficients,
+    stored in ``LabeledGraph.sort_key`` order however the terms were made."""
 
     # ``_terms`` is never changed after ``__init__``, so the hash is kept
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Optional[dict[LabeledGraph, Fraction]] = None):
-        self._terms = {g: c for g, c in (terms or {}).items() if c}
+        self._terms = dict(sorted(((g, c) for g, c in (terms or {}).items() if c),
+                                  key=lambda kv: kv[0].sort_key()))
         self._hash: Optional[int] = None
 
     @classmethod
@@ -94,11 +97,7 @@ class GraphVector:
         )
 
     def items(self) -> list[tuple[LabeledGraph, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def terms(self) -> Iterable[tuple[LabeledGraph, Fraction]]:
-        """The (graph, coeff) pairs in storage order; ``items`` sorts them."""
-        return self._terms.items()
+        return list(self._terms.items())
 
     def coeff(self, g: LabeledGraph) -> Fraction:
         return self._terms.get(g, Fraction(0))
@@ -107,7 +106,7 @@ class GraphVector:
         return len(self._terms)
 
     def __iter__(self) -> Iterator[tuple[LabeledGraph, Fraction]]:
-        return iter(self.items())
+        return iter(self._terms.items())
 
     @property
     def is_zero(self) -> bool:
@@ -156,10 +155,7 @@ class GraphVector:
     def to_literal(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        for g, c in self.items():
-            chunk = "%s * %s" % (c, g.to_literal())
-            parts.append(chunk)
+        parts = ["%s * %s" % (c, g.to_literal()) for g, c in self]
         out = parts[0]
         for chunk in parts[1:]:
             if chunk.startswith("-"):
@@ -194,16 +190,49 @@ class GraphVector:
         return canonicalize(LabeledGraph.from_literal(match.group(2))), sgn * coeff
 
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"graph": g.to_literal(), "coeff": str(c)} for g, c in self.items()
-        ]
+        return [{"graph": g.to_literal(), "coeff": str(c)} for g, c in self]
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[dict]) -> "GraphVector":
-        return cls.combine(
-            (canonicalize(LabeledGraph.from_literal(e["graph"])), Fraction(e["coeff"]))
-            for e in obj
-        )
+        """The vector of a list of {"graph", "coeff"} entries, as ``to_json_obj``
+        writes it.  A coefficient is a JSON integer or a numeric string; a JSON
+        float or boolean is refused.  Errors name the entry index and field."""
+        return cls.combine(cls._json_term(k, entry) for k, entry in enumerate(obj))
+
+    _JSON_COEFF_RE = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
+
+    @classmethod
+    def _json_term(cls, k: int, entry) -> tuple[SignedGraphClass, Fraction]:
+        """Entry ``k`` of ``from_json_obj``'s list as a (class, coeff) pair."""
+        where = "entry %d" % k
+
+        def refuse(what: str, value) -> GraphError:
+            return GraphError("%s%s, got %s" % (where, what, json.dumps(value, default=repr)))
+
+        if not isinstance(entry, dict):
+            raise refuse(" must be an object", entry)
+        for name in ("graph", "coeff"):
+            if name not in entry:
+                raise GraphError('%s: missing "%s"' % (where, name))
+        text, coeff = entry["graph"], entry["coeff"]
+        if not isinstance(text, str):
+            raise refuse(': "graph" must be a string', text)
+        try:
+            c = canonicalize(LabeledGraph.from_literal(text))
+        except GraphError as exc:
+            raise GraphError('%s: "graph": %s' % (where, exc)) from None
+        if type(coeff) is int:  # a JSON integer; bool is a subclass of int
+            return c, Fraction(coeff)
+        if type(coeff) is str:
+            try:
+                return c, Fraction(coeff)
+            except ZeroDivisionError:
+                raise GraphError('%s: "coeff" %s has a zero denominator'
+                                 % (where, coeff)) from None
+            except ValueError:
+                if cls._JSON_COEFF_RE.fullmatch(coeff):  # more digits than int() converts
+                    raise too_many_digits('%s: "coeff"' % where, coeff) from None
+        raise refuse(': "coeff" must be an integer or a numeric string', coeff)
 
     def __repr__(self):
         return "GraphVector(%s)" % self.to_literal()
@@ -227,7 +256,7 @@ def _reattachments(
     vertex of ``g`` (boundary or internal) in all possible ways.  A graft
     keeps the internal in-degrees of ``f`` and ``g``, and each reassigned
     edge adds one at its target, so only the choices that leave every
-    internal vertex of ``g`` within ``bound`` are made, in the same order.
+    internal vertex of ``g`` within ``bound`` are made.
     """
     if not (f.fits(bound) and g.fits(bound)):
         return
@@ -274,15 +303,15 @@ def grafts(slots: Iterable[tuple], g: GraphVector, bound: Optional[int]) -> Iter
     for gf, i, c in slots:
         if not 1 <= i <= gf.m:
             raise GraphError("insertion position %d out of range for m=%d" % (i, gf.m))
-        for gg, cg in g.terms():
+        for gg, cg in g:
             coeff = c * cg
             for raw in _reattachments(gf, i, gg, bound):
                 yield canonicalize(raw), coeff
 
 
 def compose_terms(f: GraphVector, g: GraphVector, bound: Optional[int] = None, sign: int = 1):
-    """The grafts of sign * (f o g): every slot i of every term of ``f``, in
-    storage order, with the Gerstenhaber sign (-1)^{(i-1)|g|}."""
+    """The grafts of sign * (f o g): every slot i of every term of ``f``,
+    with the Gerstenhaber sign (-1)^{(i-1)|g|}."""
     if f.is_zero or g.is_zero:
         return iter(())
     deg_g = g.lie_degree()
@@ -290,7 +319,7 @@ def compose_terms(f: GraphVector, g: GraphVector, bound: Optional[int] = None, s
         raise GraphError("right factor of compose must be m-homogeneous")
     signs = (sign, -sign if deg_g % 2 else sign)
     slots = (
-        (gf, i, cf * signs[(i - 1) % 2]) for gf, cf in f.terms() for i in range(1, gf.m + 1)
+        (gf, i, cf * signs[(i - 1) % 2]) for gf, cf in f for i in range(1, gf.m + 1)
     )
     return grafts(slots, g, bound)
 
@@ -344,7 +373,7 @@ def differential(f: GraphVector) -> GraphVector:
         raise GraphError("the differential requires an m-homogeneous argument")
 
     def splittings():
-        for g, c in f.terms():
+        for g, c in f:
             k = g.in_degrees()
             for i in range(1, m + 1):
                 sign = c if (m + i) % 2 else -c  # (-1)^{m+i-1} c
@@ -397,7 +426,7 @@ PROJECTIONS: dict[str, Optional[int]] = {"none": None, "constant": 0, "linear": 
 
 def project(f: GraphVector, bound: Optional[int]) -> GraphVector:
     """The terms of ``f`` whose graph fits ``bound`` (``LabeledGraph.fits``)."""
-    return GraphVector({g: c for g, c in f.terms() if g.fits(bound)})
+    return GraphVector({g: c for g, c in f if g.fits(bound)})
 
 
 def project_constant(f: GraphVector) -> GraphVector:
@@ -452,7 +481,7 @@ def antipode_sign(m: int) -> int:
 def antipode(f: GraphVector) -> GraphVector:
     """S(Gamma) = sign(m) * transpose(Gamma), extended linearly."""
     return GraphVector.combine(
-        (transpose(SignedGraphClass(g, 1)), c * antipode_sign(g.m)) for g, c in f.terms()
+        (transpose(SignedGraphClass(g, 1)), c * antipode_sign(g.m)) for g, c in f
     )
 
 

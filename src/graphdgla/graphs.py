@@ -44,7 +44,8 @@ def too_many_digits(field: str, token: str) -> GraphError:
                       % (field, token[:10] + "...", digits))
 
 
-def _literal_int(digits: str, field: str, token: str) -> int:
+def literal_int(digits: str, field: str, token: str) -> int:
+    """``int(digits)``, or the ``too_many_digits`` error naming ``field``."""
     try:
         return int(digits)
     except ValueError:  # more digits than int() converts
@@ -89,7 +90,7 @@ class LabeledGraph:
         return bound is None or all(d <= bound for d in self.in_degrees()[self.m:])
 
     def sort_key(self) -> tuple:
-        return (self.n, self.targets)
+        return (self.n, self.targets, self.m)
 
     # -- text literal ------------------------------------------------------
 
@@ -110,14 +111,14 @@ class LabeledGraph:
         match = cls._LITERAL_RE.match(text.strip())
         if match is None:
             raise GraphError("malformed graph literal: %r" % text)
-        m = _literal_int(match.group(1), "m", match.group(1))
+        m = literal_int(match.group(1), "m", match.group(1))
         if m > MAX_LITERAL_M:
             raise GraphError("m=%d exceeds the limit of %d boundary vertices" % (m, MAX_LITERAL_M))
         body = (match.group(2) or "").strip().rstrip(";")
         entries: dict[int, Pair] = {}
 
         def parse_target(tok: str) -> int:
-            idx = _literal_int(tok[1:], "target", tok)
+            idx = literal_int(tok[1:], "target", tok)
             if idx < 1:
                 raise GraphError("bad target %r" % tok)
             if tok[0] == "v":
@@ -134,7 +135,7 @@ class LabeledGraph:
                 vm = cls._VERTEX_RE.match(chunk)
                 if vm is None:
                     raise GraphError("malformed vertex entry: %r" % chunk)
-                k = _literal_int(vm.group(1), "vertex label", "v" + vm.group(1)) - 1
+                k = literal_int(vm.group(1), "vertex label", "v" + vm.group(1)) - 1
                 if k in entries:
                     raise GraphError("duplicate vertex v%d" % (k + 1))
                 entries[k] = (parse_target(vm.group(2)), parse_target(vm.group(3)))
@@ -418,8 +419,8 @@ def enumerate_classes(
         ]
         vertex_options.append(opts)
     for assignment in _orderly_assignments(m, vertex_options):
-        c = canonicalize(LabeledGraph(m, assignment))
-        if not c.is_zero and c.graph.fits(max_in_degree):
+        g = LabeledGraph(m, assignment)  # in-degrees survive relabelling and swaps
+        if g.fits(max_in_degree) and not (c := canonicalize(g)).is_zero:
             seen.add(c.graph)
     return [SignedGraphClass(g, 1) for g in sorted(seen, key=LabeledGraph.sort_key)]
 

@@ -108,7 +108,7 @@ def merged_differential(c: SignedGraphClass) -> GraphVector:
         raise ValueError("requires a nonzero class in G_{n,1}")
     return GraphVector.combine(
         (merge_boundary(SignedGraphClass(g, 1), 1), coeff)
-        for g, coeff in differential(vec(c)).terms()
+        for g, coeff in differential(vec(c))
     )
 
 

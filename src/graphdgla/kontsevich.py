@@ -21,7 +21,7 @@ from operator import add
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .algebra import PROJECTIONS, GraphVector, add_terms, split_signed_terms, vec
-from .graphs import GraphError, LabeledGraph, SignedGraphClass
+from .graphs import GraphError, LabeledGraph, SignedGraphClass, literal_int, too_many_digits
 from .mc import StarSeries
 
 
@@ -201,11 +201,14 @@ class Poly:
                     coeff *= Fraction(fm.group(1))
                 except ZeroDivisionError:
                     raise ValueError("zero denominator in factor %r" % factor) from None
+                except ValueError:  # more digits than int() converts
+                    raise too_many_digits("coefficient", fm.group(1)) from None
             else:
-                i = int(fm.group(2))
+                i = literal_int(fm.group(2), "variable index", "x" + fm.group(2))
                 if not 1 <= i <= d:
                     raise ValueError("variable x%d out of range (d=%d)" % (i, d))
-                exps[i - 1] += int(fm.group(3)) if fm.group(3) else 1
+                power = fm.group(3)
+                exps[i - 1] += literal_int(power, "exponent", power) if power else 1
         return tuple(exps), coeff
 
 
@@ -436,7 +439,8 @@ class Operator:
     Each term pairs the sorted derivative multi-indices ``(I_1, ..., I_m)``,
     one per boundary slot, with a nonzero coefficient polynomial: the graph
     coefficients times the differentiated vertex tensors, summed over every
-    graph and edge assignment that lands on those multi-indices.
+    graph and edge assignment that lands on those multi-indices, sorted by
+    multi-index whatever order they are given in, so ``==`` is value equality.
     """
 
     d: int
@@ -447,6 +451,7 @@ class Operator:
     den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=lambda t: t[0])))
         object.__setattr__(self, "den", math.lcm(*(p.den for _, p in self.terms)))
 
     def check(self, fs: Sequence[Poly]) -> None:
@@ -490,12 +495,12 @@ def compile_vector(x: GraphVector, alpha: PoissonStructure) -> Operator:
     arity = x.boundary_arity()
     if arity is None and x:
         raise GraphError("evaluation requires an m-homogeneous vector, got m = %s"
-                         % ", ".join(map(str, sorted({g.m for g, _ in x.terms()}))))
+                         % ", ".join(map(str, sorted({g.m for g, _ in x}))))
     d = alpha.d
     # a graph that does not fit its structure's kind differentiates some
     # vertex tensor past its polynomial degree, so every edge assignment is zero
     bound = PROJECTIONS[alpha.kind]
-    kept = [(g, c) for g, c in x.terms() if g.fits(bound)]
+    kept = [(g, c) for g, c in x if g.fits(bound)]
     # a common multiple of every assignment's c.denominator * prod(entry dens)
     entry_den = math.lcm(*(p.den for _, _, p in alpha.entries))
     den = math.lcm(*(c.denominator * entry_den ** g.n for g, c in kept))

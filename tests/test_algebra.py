@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -452,6 +453,56 @@ class TestGraphVector:
         assert project_constant(compose(g, f + kernel)) == project_constant(
             compose(g, f)
         )
+
+
+B1_TEXT = "G{m=2; v1=(b1,b2)}"
+
+
+class TestJsonInput:
+    """``from_json_obj`` reads what ``to_json_obj`` writes, and every bad
+    entry raises one GraphError naming its index and field."""
+
+    def test_integer_and_numeric_string_coefficients(self):
+        obj = [{"graph": B1_TEXT, "coeff": 3}, {"graph": B1_TEXT, "coeff": "-1/2"}]
+        assert GraphVector.from_json_obj(obj) == vec(b1(), Fraction(5, 2))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([B1_TEXT, 1], 'entry 1 must be an object, got ["G{m=2; v1=(b1,b2)}", 1]'),
+            ({"coeff": "1"}, 'entry 1: missing "graph"'),
+            ({"graph": B1_TEXT}, 'entry 1: missing "coeff"'),
+            ({"graph": 7, "coeff": "1"}, 'entry 1: "graph" must be a string, got 7'),
+            ({"graph": "G{m=2; v1=(b1,b1)}", "coeff": "1"},
+             'entry 1: "graph": double edge at vertex v1'),
+            ({"graph": B1_TEXT, "coeff": "1/0"}, 'entry 1: "coeff" 1/0 has a zero denominator'),
+            ({"graph": B1_TEXT, "coeff": "one"},
+             'entry 1: "coeff" must be an integer or a numeric string, got "one"'),
+            ({"graph": B1_TEXT, "coeff": 0.1},
+             'entry 1: "coeff" must be an integer or a numeric string, got 0.1'),
+            ({"graph": B1_TEXT, "coeff": True},
+             'entry 1: "coeff" must be an integer or a numeric string, got true'),
+            ({"graph": B1_TEXT, "coeff": None},
+             'entry 1: "coeff" must be an integer or a numeric string, got null'),
+        ],
+        ids=["not-object", "no-graph", "no-coeff", "graph-number", "bad-graph",
+             "zero-denominator", "non-numeric", "float", "boolean", "null"],
+    )
+    def test_bad_entry(self, entry, message):
+        with pytest.raises(GraphError) as info:
+            GraphVector.from_json_obj([{"graph": B1_TEXT, "coeff": "1"}, entry])
+        assert str(info.value) == message
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before Python 3.10.7")
+    @pytest.mark.parametrize("coeff, digits", [("9" * 5000, 5000), ("1/" + "9" * 5000, 5001)],
+                             ids=["integer", "denominator"])
+    def test_coefficient_past_int_digit_limit(self, coeff, digits):
+        with pytest.raises(GraphError) as info:
+            GraphVector.from_json_obj([{"graph": B1_TEXT, "coeff": coeff}])
+        assert str(info.value) == (
+            "entry 0: \"coeff\" %r has %d digits, more than a number may have"
+            % (coeff[:10] + "...", digits))
 
 
 def test_factorials_in_wedge_basis_elements():

@@ -193,6 +193,15 @@ class TestVectorCommands:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == "error: %s has 5000 digits, more than a number may have\n" % field
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_value_equal_inputs_print_identical_bytes(self, capsys, fmt):
+        # the same mixed-arity sum with its two terms given in either order
+        outs = [run(capsys, "compose", f, "G{m=2; v1=(b1,b2)}", "--format", fmt)
+                for f in ("G{m=2; v1=(b1,b2)} + G{m=3; v1=(b1,b2)}",
+                          "G{m=3; v1=(b1,b2)} + G{m=2; v1=(b1,b2)}")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == EXIT_OK and "m=3" in outs[0][1] and "m=4" in outs[0][1]
+
 
 class TestSolve:
     def test_constant_exit_ok(self, capsys):
@@ -398,6 +407,25 @@ class TestEvaluate:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == (
             "error: evaluation requires an m-homogeneous vector, got m = 2, 3\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before Python 3.10.7")
+    @pytest.mark.parametrize(
+        "functions, field",
+        [
+            ("%s*x1;x2" % NINES, "coefficient '9999999999...'"),
+            ("x1;x%s" % NINES, "variable index 'x999999999...'"),
+            ("x1^%s;x2" % NINES, "exponent '9999999999...'"),
+        ],
+        ids=["coefficient", "variable-index", "exponent"],
+    )
+    def test_function_number_past_int_digit_limit(
+            self, capsys, symplectic_file, functions, field):
+        code = main(["evaluate", "G{m=2; v1=(b1,b2)}",
+                     "--poisson", symplectic_file, "--functions", functions])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == "error: %s has 5000 digits, more than a number may have\n" % field
 
     def test_poisson_file_numbers_read_exactly(self, capsys, tmp_path):
         # a float would round alpha^{12} to 123456789012345680000000000000

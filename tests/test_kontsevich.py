@@ -852,7 +852,7 @@ def ref_compile_vector(x, alpha):
     d = alpha.d
     pairs = alpha.entries
     acc = {}
-    for g, c in x.terms():
+    for g, c in x:
         m, n = g.m, g.n
         for assign in itertools.product(pairs, repeat=n):
             derivs = [[] for _ in range(m + n)]

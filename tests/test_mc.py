@@ -1,9 +1,9 @@
 """The deformation recursion m_n = P(sigma(D_n)) and its diagnostics."""
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +23,7 @@ from graphdgla.algebra import (
     vec,
 )
 from graphdgla.graphs import b1_power, c2L, c2R, enumerate_classes, t2L, t2R
+from graphdgla.kontsevich import Operator, PoissonStructure, compile_vector
 from test_algebra import ref_compose
 
 
@@ -143,7 +144,7 @@ class TestLemma1Identity:
 
         def unsigned(f, g, bound=None, sign=1):
             slots = (
-                (gf, i, cf * sign) for gf, cf in f.terms() for i in range(1, gf.m + 1)
+                (gf, i, cf * sign) for gf, cf in f for i in range(1, gf.m + 1)
             )
             return algebra.grafts(slots, g, bound)
 
@@ -192,7 +193,7 @@ ORACLE_KEEPS = {
 
 def oracle_project(x, projection):
     keep = ORACLE_KEEPS[projection]
-    return GraphVector({g: c for g, c in x.terms() if keep(g)})
+    return GraphVector({g: c for g, c in x if keep(g)})
 
 
 # sigma's per-term constant: the merger's, and a refuted alternative; the
@@ -304,19 +305,65 @@ class TestCompositionsOracle:
             assert mc.defect(series, n) == sum(folds, GraphVector()).scale(2)
 
 
-class TestStorageOrder:
-    """The order in which ``defect`` stores its terms becomes
-    ``compile_vector``'s term order, which the CI operator digests pin."""
+def shuffled(v, seed=0):
+    """An equal copy of ``v`` built from its terms in a shuffled order."""
+    pairs = list(v)
+    random.Random(seed).shuffle(pairs)
+    return GraphVector(dict(pairs))
 
-    @pytest.mark.parametrize("n, size, digest", [
-        (3, 41, "65f189862c8ac7209a093856fc3e2217bf02c82bca0687ce8c8f7025f68ea9d3"),
-        (4, 342, "0b2f90cc195098b3dd215a0c4a0cc757800ac0b7843a68573b92faffef65c7af"),
-    ])
-    def test_linear_defect(self, n, size, digest):
+
+MIXED = "G{m=2; v1=(b1,b2)} + G{m=3; v1=(b1,b2)}"
+MIXED_SWAPPED = "G{m=3; v1=(b1,b2)} + G{m=2; v1=(b1,b2)}"
+
+
+class TestCanonicalOrder:
+    """A graph vector and its compiled operator have one term order each,
+    fixed by their constructors: equal values iterate, print, serialize and
+    compile alike, however their terms were made."""
+
+    @pytest.mark.parametrize("n, size", [(3, 41), (4, 342)])
+    def test_linear_defect(self, n, size):
         v = mc.defect(mc.solve(4, "linear"), n)
-        text = "".join("%s %s\n" % (g.to_literal(), c) for g, c in v.terms())
         assert len(v) == size
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        for seed in range(3):
+            w = shuffled(v, seed)
+            assert w == v
+            assert w.items() == v.items()
+            assert w.to_literal() == v.to_literal()
+            assert w.to_json_obj() == v.to_json_obj()
+
+    def test_mixed_arity_sum(self):
+        v, w = GraphVector.from_literal(MIXED), GraphVector.from_literal(MIXED_SWAPPED)
+        assert v == w
+        assert v.items() == w.items() == list(w) == list(shuffled(v))
+        assert [g.m for g, _ in v] == [2, 3]
+        assert v.to_literal() == w.to_literal() == MIXED.replace("G{", "1 * G{")
+        assert v.to_json_obj() == w.to_json_obj()
+
+    def test_sigma_names_the_same_offending_term(self):
+        for text in (MIXED, MIXED_SWAPPED):
+            with pytest.raises(SigmaDomainError, match=r"G\{m=2; v1=\(b1,b2\)\}"):
+                sigma(GraphVector.from_literal(text))
+
+    def test_compiled_operator(self):
+        alpha = PoissonStructure.so3()
+        x = mc.defect(mc.solve(4, "linear"), 3)
+        want = compile_vector.__wrapped__(x, alpha).terms
+        assert want
+        assert compile_vector(x, alpha).terms == want
+        y = shuffled(x)
+        assert compile_vector(y, alpha).terms == want  # a cache hit on x
+        assert compile_vector.__wrapped__(y, alpha).terms == want
+
+    def test_operator_equality_ignores_given_order(self):
+        alpha = PoissonStructure.so3()
+        op = compile_vector(mc.defect(mc.solve(3, "linear"), 3), alpha)
+        terms = op.terms
+        assert len(terms) > 1
+        backward = Operator(op.d, op.m, tuple(reversed(terms)))
+        assert backward == op
+        assert backward.terms == terms
+        assert backward.den == op.den
 
 
 class TestCocycle:
