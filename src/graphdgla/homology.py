@@ -2,10 +2,12 @@
 
 The differential preserves the internal-vertex count n, so each (n, m)
 component gives a finite exact boundary matrix, ranked by sparse exact
-elimination over Q; a table enumerates each G_{n,m} once.  A column is the
-differential of one class, which forms only the proper boundary splittings
-of that class (``algebra.differential``), so building a matrix canonicalizes
-no graft that cancels.
+elimination over Q.  A rank needs only the columns: a column is the
+differential of one class of G_{n,m}, and the rows are the classes that the
+differential hits, so a table enumerates each G_{n,m} once, as a matrix's
+source, and never G_{n,m_max+1}.  The differential forms only the proper
+boundary splittings of a class (``algebra.differential``), so building a
+matrix canonicalizes no graft that cancels.
 """
 from __future__ import annotations
 
@@ -25,7 +27,9 @@ from .graphs import (
 
 @dataclass
 class BoundaryMatrix:
-    """Matrix of the differential G_{n,m} -> G_{n,m+1} in enumerated bases."""
+    """The differential on G_{n,m}: a column per class of ``source``, a row
+    per class of G_{n,m+1} it hits, ``target`` in ``LabeledGraph.sort_key``
+    order (first-hit order slows ``rank``, whose leads are least rows)."""
 
     n: int
     m: int
@@ -38,24 +42,13 @@ class BoundaryMatrix:
         return (len(self.target), len(self.source))
 
 
-def _matrix(n: int, m: int, source: list, target: list) -> BoundaryMatrix:
-    index = {c.graph: i for i, c in enumerate(target)}
-    columns = []
-    for c in source:
-        entries: dict[int, Fraction] = {}
-        for h, coeff in differential(vec(c)):
-            if h not in index:
-                raise RuntimeError(
-                    "differential image %s missing from target basis" % h.to_literal()
-                )
-            entries[index[h]] = coeff
-        columns.append(entries)
-    return BoundaryMatrix(n, m, [c.graph for c in source], [c.graph for c in target], columns)
-
-
 def boundary_matrix(n: int, m: int, cap: int = DEFAULT_CAP) -> BoundaryMatrix:
     source = enumerate_classes(n, m, cap=cap)
-    return _matrix(n, m, source, enumerate_classes(n, m + 1, cap=cap))
+    images = [differential(vec(c)) for c in source]
+    target = sorted({h for image in images for h, _ in image}, key=LabeledGraph.sort_key)
+    index = {h: row for row, h in enumerate(target)}
+    columns = [{index[h]: coeff for h, coeff in image} for image in images]
+    return BoundaryMatrix(n, m, [c.graph for c in source], target, columns)
 
 
 def rank(matrix: BoundaryMatrix) -> int:
@@ -76,16 +69,23 @@ def rank(matrix: BoundaryMatrix) -> int:
 
 
 def _walk(n: int, m_max: int, cap: int) -> list[dict]:
-    """Rows (n, m) for m = 1..m_max: each G_{n,m} enumerated, each matrix ranked once."""
+    """Rows (n, m) for m = 1..m_max, each G_{n,m} enumerated once, as a source;
+    each class the step before hits must be one of them (G_{n,m_max+1} is not
+    enumerated, so the rows of the last step are not checked)."""
     rows = []
+    hit: list[LabeledGraph] = []
     b = 0  # rank of the differential into (n, m); G_{n,0} is empty
-    source = enumerate_classes(n, 1, cap=cap) if m_max >= 1 else []
     for m in range(1, m_max + 1):
-        target = enumerate_classes(n, m + 1, cap=cap)
-        r = rank(_matrix(n, m, source, target))
-        z = len(source) - r
-        rows.append(dict(n=n, m=m, classes=len(source), dim_Z=z, dim_B=b, dim_H=z - b))
-        source, b = target, r
+        matrix = boundary_matrix(n, m, cap)
+        known = set(matrix.source)
+        for h in hit:
+            if h not in known:
+                raise RuntimeError("differential image %s missing from G_{%d,%d}"
+                                   % (h.to_literal(), n, m))
+        r = rank(matrix)
+        z = len(matrix.source) - r
+        rows.append(dict(n=n, m=m, classes=len(matrix.source), dim_Z=z, dim_B=b, dim_H=z - b))
+        hit, b = matrix.target, r
     return rows
 
 

@@ -216,8 +216,10 @@ class Poly:
 
 
 class _Literal(float):
-    """A JSON number with a fraction or an exponent: a float that keeps its
-    text, so that it converts to a Fraction exactly as written."""
+    """A JSON number with a fraction or an exponent, or an integer with more
+    digits than ``int`` converts: a float that keeps its text, so that it
+    converts to a Fraction exactly as written, or its field's validator
+    names it with ``too_many_digits``."""
 
     def __new__(cls, text: str):
         self = super().__new__(cls, text)
@@ -226,6 +228,14 @@ class _Literal(float):
 
     def __str__(self) -> str:
         return self.text
+
+
+def _json_int(text: str):
+    """A JSON integer as an int, or as a ``_Literal`` past ``int``'s digit limit."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return _Literal(text)
 
 
 def _quote(value) -> str:
@@ -244,14 +254,19 @@ def _field(obj: dict, name: str, where: str):
     return obj[name]
 
 
+def _integer(value, where: str) -> int:
+    """``value`` if it is a JSON integer, else a PoissonError naming ``where``."""
+    if type(value) is int:  # bool is a subclass of int
+        return value
+    if type(value) is _Literal and value.text.lstrip("-").isdigit():
+        raise PoissonError(str(too_many_digits(where, value.text)))
+    raise PoissonError("%s must be an integer, got %s" % (where, _quote(value)))
+
+
 def _index(entry: dict, name: str, pos: int, d: int) -> int:
     """The 1-based index field ``name`` of linear entry ``c[pos]``, 0-based."""
-    value = _field(entry, name, "entry c[%d]" % pos)
-    if type(value) is not int:  # a JSON integer; bool is a subclass of int
-        raise PoissonError(
-            'entry c[%d]: index "%s" must be an integer, got %s'
-            % (pos, name, _quote(value))
-        )
+    value = _integer(_field(entry, name, "entry c[%d]" % pos),
+                     'entry c[%d]: index "%s"' % (pos, name))
     if not 1 <= value <= d:
         raise PoissonError(
             'entry c[%d]: index "%s" = %d outside 1..%d' % (pos, name, value, d)
@@ -271,6 +286,11 @@ def _require_json(value, want: type, where: str):
     return value
 
 
+# the Fraction literals of every supported Python: one of this shape that
+# Fraction refuses has more digits than int() converts
+_FRACTION_RE = re.compile(r"\s*[+-]?(?=\.?\d)\d*(/\d+|(\.\d*)?([eE][+-]?\d+)?)\s*")
+
+
 def _rational(value, where: str) -> Fraction:
     """A JSON number or numeric string as a Fraction; ``where`` names the field."""
     try:
@@ -281,7 +301,8 @@ def _rational(value, where: str) -> Fraction:
             "%s = %s has a zero denominator" % (where, _quote(value))
         ) from None
     except ValueError:
-        pass
+        if _FRACTION_RE.fullmatch(str(value)):
+            raise PoissonError(str(too_many_digits(where, str(value)))) from None
     raise PoissonError(
         "%s must be a number or numeric string, got %s" % (where, _quote(value))
     )
@@ -379,8 +400,7 @@ class PoissonStructure:
         try:
             d = _field(obj, "d", "the top level")
             kind = _field(obj, "kind", "the top level")
-            if type(d) is not int:  # a JSON integer; bool is a subclass of int
-                raise PoissonError('"d" must be an integer, got %s' % _quote(d))
+            d = _integer(d, '"d"')
             if d < 1:
                 raise PoissonError('"d" must be >= 1, got %d' % d)
             if kind == "constant":
@@ -422,7 +442,7 @@ class PoissonStructure:
     def from_json_file(cls, path: str) -> "PoissonStructure":
         with open(path) as fh:
             try:
-                obj = json.load(fh, parse_float=_Literal)
+                obj = json.load(fh, parse_float=_Literal, parse_int=_json_int)
             except json.JSONDecodeError as exc:
                 raise PoissonError("invalid JSON: %s" % exc) from exc
         return cls.from_json_obj(obj)

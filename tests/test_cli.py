@@ -427,6 +427,37 @@ class TestEvaluate:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == "error: %s has 5000 digits, more than a number may have\n" % field
 
+    # json.load converts a JSON integer before any field is checked, so one
+    # past int()'s digit limit is kept as text for its field to refuse
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before Python 3.10.7")
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ('{"d": %s, "kind": "constant", "alpha": []}' % NINES, '"d"'),
+            *(('{"d": 3, "kind": "linear", "c": [{"%s": %s, %s, "val": 1}]}'
+               % (name, NINES, ", ".join('"%s": 1' % o for o in "ijk" if o != name)),
+               'entry c[0]: index "%s"' % name) for name in "ijk"),
+            ('{"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": %s}]}' % NINES,
+             'entry c[0]: "val"'),
+            ('{"d": 2, "kind": "constant", "alpha": [[0, "%s"], [0, 0]]}' % NINES,
+             '"alpha"[0][1]'),
+            ('{"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": "%s"}]}' % NINES,
+             'entry c[0]: "val"'),
+        ],
+        ids=["d", "i", "j", "k", "val", "alpha-string", "val-string"],
+    )
+    def test_poisson_file_number_past_int_digit_limit(self, capsys, tmp_path, obj, field):
+        path = tmp_path / "p.json"
+        path.write_text(obj)
+        code = main(["evaluate", "G{m=2; v1=(b1,b2)}",
+                     "--poisson", str(path), "--functions", "x1;x2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == (
+            "error: bad Poisson file %s: %s '9999999999...' has 5000 digits,"
+            " more than a number may have\n" % (path, field))
+
     def test_poisson_file_numbers_read_exactly(self, capsys, tmp_path):
         # a float would round alpha^{12} to 123456789012345680000000000000
         path = tmp_path / "big.json"

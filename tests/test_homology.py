@@ -1,6 +1,7 @@
 """Exact boundary matrices and low-degree cohomology dimensions."""
 import math
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -108,13 +109,24 @@ class TestBoundaryMatrix:
             for m in (1, 2, 3):
                 inner = boundary_matrix(n, m)
                 outer = boundary_matrix(n, m + 1)
-                assert inner.target == outer.source
+                # the rows of inner are the classes it hits; each is a column of outer
+                assert set(inner.target) <= set(outer.source)
+                column_of = [outer.source.index(g) for g in inner.target]
                 for entries in inner.columns:
                     image = {}
                     for mid, c in entries.items():
-                        column = outer.columns[mid].items()
+                        column = outer.columns[column_of[mid]].items()
                         add_terms(image, ((row, c * c2) for row, c2 in column))
                     assert not any(image.values())
+
+    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
+    def test_rows_are_distinct_classes_hit(self, n, m):
+        # the rows are no enumerated basis: only classes of G_{n,m+1}, each
+        # once, and each hit by some column
+        mat = boundary_matrix(n, m)
+        assert len(set(mat.target)) == len(mat.target)
+        assert set(mat.target) <= {c.graph for c in enumerate_classes(n, m + 1)}
+        assert {row for col in mat.columns for row in col} == set(range(len(mat.target)))
 
 
 class TestRank:
@@ -192,10 +204,23 @@ class TestCohomology:
 
         monkeypatch.setattr("graphdgla.homology.enumerate_classes", counting)
         dimension_table(3, 3)
-        assert sorted(calls) == [(n, m) for n in range(4) for m in range(1, 5)]
+        # each G_{n,m} once, as a source; G_{n,m_max+1} never
+        assert sorted(calls) == [(n, m) for n in range(4) for m in range(1, 4)]
         calls.clear()
         cohomology_dims(4, 1)
-        assert sorted(calls) == [(4, 1), (4, 2)]
+        assert calls == [(4, 1)]
+
+    def test_class_hit_missing_from_next_source_raises(self, monkeypatch):
+        # drop from G_{3,3} a class that the differential on G_{3,2} hits
+        dropped = boundary_matrix(3, 2).target[0]
+
+        def dropping(n, m, *args, **kwargs):
+            classes = enumerate_classes(n, m, *args, **kwargs)
+            return [c for c in classes if c.graph != dropped]
+
+        monkeypatch.setattr("graphdgla.homology.enumerate_classes", dropping)
+        with pytest.raises(RuntimeError, match=re.escape(dropped.to_literal())):
+            dimension_table(3, 3)
 
     def test_dims_match_table_rows(self):
         rows = dimension_table(3, 3) + [r for r in dimension_table(4, 1) if r["n"] == 4]
