@@ -21,12 +21,13 @@ from .graphs import (
     b0,
     canonicalize,
     merge_boundary,
+    number_text,
     too_many_digits,
     transpose,
 )
 
 
-class SigmaDomainError(ValueError):
+class SigmaDomainError(GraphError):
     """sigma applied to a term with fewer than two internal vertices."""
 
 
@@ -155,7 +156,7 @@ class GraphVector:
     def to_literal(self) -> str:
         if self.is_zero:
             return "0"
-        parts = ["%s * %s" % (c, g.to_literal()) for g, c in self]
+        parts = ["%s * %s" % (number_text(c), g.to_literal()) for g, c in self]
         out = parts[0]
         for chunk in parts[1:]:
             if chunk.startswith("-"):
@@ -190,7 +191,7 @@ class GraphVector:
         return canonicalize(LabeledGraph.from_literal(match.group(2))), sgn * coeff
 
     def to_json_obj(self) -> list[dict]:
-        return [{"graph": g.to_literal(), "coeff": str(c)} for g, c in self]
+        return [{"graph": g.to_literal(), "coeff": number_text(c)} for g, c in self]
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[dict]) -> "GraphVector":

@@ -2,8 +2,10 @@
 
 Subcommands: enumerate, compose, bracket, sigma, solve, defect, evaluate,
 homology, selftest.  Exit codes: 0 success, 1 identity-check failure,
-2 input error, 3 resource cap exceeded, 4 internal error (a fault of the
-engine, reported as one ``internal error:`` line instead of a traceback).
+2 input error (an input check raised ``graphs.GraphError``), 3 resource cap
+exceeded or a result number too long to print, 4 internal error (any other
+exception, a fault of the engine, reported as one ``internal error:`` line
+instead of a traceback).
 """
 from __future__ import annotations
 
@@ -13,13 +15,7 @@ import json
 import sys
 
 from . import checks, homology, mc
-from .algebra import (
-    GraphVector,
-    SigmaDomainError,
-    bracket,
-    compose,
-    sigma,
-)
+from .algebra import GraphVector, bracket, compose, sigma
 from .graphs import DEFAULT_CAP, GraphError, ResourceCapExceeded, enumerate_classes
 from .kontsevich import (
     PoissonError,
@@ -37,27 +33,16 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
-class _InputError(Exception):
-    pass
-
-
-def _parse_vector(text: str) -> GraphVector:
-    try:
-        return GraphVector.from_literal(text)
-    except (GraphError, ValueError) as exc:
-        raise _InputError(str(exc)) from exc
-
-
 def _load_poisson(path: str) -> PoissonStructure:
     try:
         return PoissonStructure.from_json_file(path)
     except (OSError, PoissonError) as exc:
-        raise _InputError("bad Poisson file %s: %s" % (path, exc)) from exc
+        raise GraphError("bad Poisson file %s: %s" % (path, exc)) from exc
 
 
 def _require(flag: str, value: int, least: int) -> None:
     if value < least:
-        raise _InputError("%s must be >= %d, got %d" % (flag, least, value))
+        raise GraphError("%s must be >= %d, got %d" % (flag, least, value))
 
 
 def _solve(args) -> mc.StarSeries:
@@ -91,18 +76,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_product(args) -> int:
     """``compose`` or ``bracket``, whichever the subcommand set as ``product``."""
-    f = _parse_vector(args.f)
-    g = _parse_vector(args.g)
+    f = GraphVector.from_literal(args.f)
+    g = GraphVector.from_literal(args.g)
     _emit_vector(args.product(f, g), args.format)
     return EXIT_OK
 
 
 def cmd_sigma(args) -> int:
-    f = _parse_vector(args.f)
-    try:
-        _emit_vector(sigma(f), args.format)
-    except SigmaDomainError as exc:
-        raise _InputError(str(exc)) from exc
+    _emit_vector(sigma(GraphVector.from_literal(args.f)), args.format)
     return EXIT_OK
 
 
@@ -175,22 +156,15 @@ def cmd_defect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     alpha = _load_poisson(args.poisson)
-    v = _parse_vector(args.vector)
-    try:
-        fs = [Poly.parse(chunk, alpha.d) for chunk in args.functions.split(";")]
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
-    try:
-        result = evaluate(v, alpha, fs)
-    except (GraphError, ValueError) as exc:
-        raise _InputError(str(exc)) from exc
-    print(str(result))
+    v = GraphVector.from_literal(args.vector)
+    fs = [Poly.parse(chunk, alpha.d) for chunk in args.functions.split(";")]
+    print(evaluate(v, alpha, fs))
     return EXIT_OK
 
 
 def cmd_homology(args) -> int:
     if args.n_max < 0 or args.m_max < 1:
-        raise _InputError(
+        raise GraphError(
             "need --n-max >= 0 and --m-max >= 1, got %d and %d" % (args.n_max, args.m_max)
         )
     _require("--cap", args.cap, 1)
@@ -215,7 +189,7 @@ def cmd_selftest(args) -> int:
     selected = checks.CHECKS
     if args.only:
         if args.only not in selected:
-            raise _InputError("unknown check %r" % args.only)
+            raise GraphError("unknown check %r" % args.only)
         selected = {args.only: selected[args.only]}
     results = {}
     for name, fn in selected.items():
@@ -309,15 +283,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _InputError as exc:
+    except GraphError as exc:  # an input check refused the input
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except ResourceCapExceeded as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CAP
-    except GraphError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:  # anything else is a fault of the engine, not of its input
         print("internal error: %r" % exc, file=sys.stderr)
         return EXIT_INTERNAL

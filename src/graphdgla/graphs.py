@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from typing import Optional
 
 Pair = tuple[int, int]
@@ -28,11 +31,15 @@ MAX_LITERAL_M = 10_000
 
 
 class GraphError(ValueError):
-    """Structurally inadmissible graph or invalid index."""
+    """Input the engine refuses: an inadmissible graph, an invalid index, or
+    a malformed literal, Poisson structure or flag.  The package's one
+    input-error type, which the CLI reports as exit code 2; its subclasses
+    name the input they check."""
 
 
 class ResourceCapExceeded(RuntimeError):
-    """Enumeration search space exceeds the configured cap."""
+    """A search space exceeds its configured cap, or a result number has
+    more digits than can be printed."""
 
 
 def too_many_digits(field: str, token: str) -> GraphError:
@@ -42,6 +49,19 @@ def too_many_digits(field: str, token: str) -> GraphError:
     digits = sum(ch.isdigit() for ch in token)
     return GraphError("%s %r has %d digits, more than a number may have"
                       % (field, token[:10] + "...", digits))
+
+
+def number_text(x) -> str:
+    """``str(x)`` for an int or Fraction of a result, or ResourceCapExceeded
+    naming its digit count when it has more than ``str`` converts."""
+    try:
+        return str(x)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        q = Fraction(x)
+        digits = max(Decimal(abs(k)).adjusted() + 1 for k in (q.numerator, q.denominator))
+        raise ResourceCapExceeded("a number of the result has %d digits, more than the %d"
+                                  " that can be printed" % (digits, sys.get_int_max_str_digits())
+                                  ) from None
 
 
 def literal_int(digits: str, field: str, token: str) -> int:

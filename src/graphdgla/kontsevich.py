@@ -18,14 +18,16 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .algebra import PROJECTIONS, GraphVector, add_terms, split_signed_terms, vec
-from .graphs import GraphError, LabeledGraph, SignedGraphClass, literal_int, too_many_digits
+from .graphs import (
+    GraphError, LabeledGraph, SignedGraphClass, literal_int, number_text, too_many_digits,
+)
 from .mc import StarSeries
 
 
-class PoissonError(ValueError):
+class PoissonError(GraphError):
     """Invalid Poisson structure data."""
 
 
@@ -144,13 +146,6 @@ class Poly:
                                   for e, c in self._derivative(idx[:-1]).items() if e[k]}
         return got
 
-    def multi_diff(self, indices: Iterable[int]) -> "Poly":
-        """d_{i_1} ... d_{i_k} of self, for 1-based indices."""
-        idx = tuple(sorted(indices))
-        if idx and not 1 <= idx[0] <= idx[-1] <= self.d:
-            raise ValueError("derivative index outside 1..%d in %s" % (self.d, idx))
-        return Poly.over(self.d, self.den, self._derivative(idx))
-
     # -- text form ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -160,12 +155,12 @@ class Poly:
         for e, c in self.items():
             factors = []
             if abs(c) != 1 or not any(e):
-                factors.append(str(abs(c)))
+                factors.append(number_text(abs(c)))
             for i, p in enumerate(e):
                 if p == 1:
                     factors.append("x%d" % (i + 1))
                 elif p > 1:
-                    factors.append("x%d^%d" % (i + 1, p))
+                    factors.append("x%d^%s" % (i + 1, number_text(p)))
             chunk = "*".join(factors)
             parts.append(("- " if c < 0 else "+ ") + chunk)
         out = " ".join(parts)
@@ -183,7 +178,7 @@ class Poly:
             return cls.zero(d)
         chunks = split_signed_terms(text)
         if not chunks[-1][1].strip():
-            raise ValueError("malformed polynomial literal: %r" % text)
+            raise GraphError("malformed polynomial literal: %r" % text)
         terms = (cls._parse_term(sgn, body, d) for sgn, body in chunks)
         return cls(d, add_terms({}, terms))
 
@@ -195,18 +190,18 @@ class Poly:
             factor = factor.strip()
             fm = cls._FACTOR_RE.match(factor)
             if fm is None:
-                raise ValueError("malformed factor %r" % factor)
+                raise GraphError("malformed factor %r" % factor)
             if fm.group(1) is not None:
                 try:
                     coeff *= Fraction(fm.group(1))
                 except ZeroDivisionError:
-                    raise ValueError("zero denominator in factor %r" % factor) from None
+                    raise GraphError("zero denominator in factor %r" % factor) from None
                 except ValueError:  # more digits than int() converts
                     raise too_many_digits("coefficient", fm.group(1)) from None
             else:
                 i = literal_int(fm.group(2), "variable index", "x" + fm.group(2))
                 if not 1 <= i <= d:
-                    raise ValueError("variable x%d out of range (d=%d)" % (i, d))
+                    raise GraphError("variable x%d out of range (d=%d)" % (i, d))
                 power = fm.group(3)
                 exps[i - 1] += literal_int(power, "exponent", power) if power else 1
         return tuple(exps), coeff
@@ -397,54 +392,53 @@ class PoissonStructure:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "PoissonStructure":
         _require_json(obj, dict, "the top level")
-        try:
-            d = _field(obj, "d", "the top level")
-            kind = _field(obj, "kind", "the top level")
-            d = _integer(d, '"d"')
-            if d < 1:
-                raise PoissonError('"d" must be >= 1, got %d' % d)
-            if kind == "constant":
-                rows = _require_json(_field(obj, "alpha", "the top level"), list, '"alpha"')
-                if len(rows) != d:
-                    raise PoissonError('"alpha" has %d rows but "d" is %d' % (len(rows), d))
-                return cls.constant([
-                    [_rational(x, '"alpha"[%d][%d]' % (r, c))
-                     for c, x in enumerate(_require_json(row, list, '"alpha"[%d]' % r))]
-                    for r, row in enumerate(rows)
-                ])
-            if kind == "linear":
-                seen: dict[tuple, tuple] = {}  # (i, j, k) -> (position that set it, value)
-                listed = _require_json(_field(obj, "c", "the top level"), list, '"c"')
-                for pos, entry in enumerate(listed):
-                    where = "entry c[%d]" % pos
-                    _require_json(entry, dict, where)
-                    i, j, k = (_index(entry, name, pos, d) for name in "ijk")
-                    val = _rational(_field(entry, "val", where), where + ': "val"')
-                    if i == j and val:
-                        raise PoissonError('entry c[%d]: "i" = "j" needs "val" 0, got %s'
-                                           % (pos, _quote(entry["val"])))
-                    for cell, value in (((i, j, k), val), ((j, i, k), -val)):
-                        first, old = seen.setdefault(cell, (pos, value))
-                        if old != value:
-                            a, b, c = cell
-                            raise PoissonError(
-                                "entries c[%d] and c[%d] conflict: c^{%d%d}_%d = %s and %s"
-                                % (first, pos, a + 1, b + 1, c + 1, old, value)
-                            )
-                return cls.linear(d, {cell: value for cell, (_, value) in seen.items()})
-            raise PoissonError("unknown kind %s" % _quote(kind))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, PoissonError):
-                raise
-            raise PoissonError("malformed Poisson structure: %s" % exc) from exc
+        d = _field(obj, "d", "the top level")
+        kind = _field(obj, "kind", "the top level")
+        d = _integer(d, '"d"')
+        if d < 1:
+            raise PoissonError('"d" must be >= 1, got %d' % d)
+        if kind == "constant":
+            rows = _require_json(_field(obj, "alpha", "the top level"), list, '"alpha"')
+            if len(rows) != d:
+                raise PoissonError('"alpha" has %d rows but "d" is %d' % (len(rows), d))
+            return cls.constant([
+                [_rational(x, '"alpha"[%d][%d]' % (r, c))
+                 for c, x in enumerate(_require_json(row, list, '"alpha"[%d]' % r))]
+                for r, row in enumerate(rows)
+            ])
+        if kind == "linear":
+            seen: dict[tuple, tuple] = {}  # (i, j, k) -> (position that set it, value)
+            listed = _require_json(_field(obj, "c", "the top level"), list, '"c"')
+            for pos, entry in enumerate(listed):
+                where = "entry c[%d]" % pos
+                _require_json(entry, dict, where)
+                i, j, k = (_index(entry, name, pos, d) for name in "ijk")
+                val = _rational(_field(entry, "val", where), where + ': "val"')
+                if i == j and val:
+                    raise PoissonError('entry c[%d]: "i" = "j" needs "val" 0, got %s'
+                                       % (pos, _quote(entry["val"])))
+                for cell, value in (((i, j, k), val), ((j, i, k), -val)):
+                    first, old = seen.setdefault(cell, (pos, value))
+                    if old != value:
+                        a, b, c = cell
+                        raise PoissonError(
+                            "entries c[%d] and c[%d] conflict: c^{%d%d}_%d = %s and %s"
+                            % (first, pos, a + 1, b + 1, c + 1, old, value)
+                        )
+            return cls.linear(d, {cell: value for cell, (_, value) in seen.items()})
+        raise PoissonError("unknown kind %s" % _quote(kind))
 
     @classmethod
     def from_json_file(cls, path: str) -> "PoissonStructure":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
             try:
                 obj = json.load(fh, parse_float=_Literal, parse_int=_json_int)
             except json.JSONDecodeError as exc:
                 raise PoissonError("invalid JSON: %s" % exc) from exc
+            except UnicodeDecodeError as exc:
+                raise PoissonError("invalid JSON: not UTF-8 at byte %d" % exc.start) from None
+            except RecursionError:
+                raise PoissonError("invalid JSON: nested too deeply") from None
         return cls.from_json_obj(obj)
 
 
@@ -482,7 +476,7 @@ class Operator:
             raise GraphError("need %d boundary functions, got %d" % (self.m, len(fs)))
         for f in fs:
             if f.d != self.d:
-                raise ValueError(
+                raise GraphError(
                     "polynomial dimension %d != Poisson dimension %d" % (f.d, self.d)
                 )
 

@@ -1,4 +1,5 @@
 """Command-line interface: outputs, determinism, and exit codes."""
+import itertools
 import json
 import os
 import pathlib
@@ -8,11 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from graphdgla import algebra, checks, cli
+from graphdgla import algebra, checks, cli, kontsevich
+from graphdgla.algebra import SigmaDomainError
 from graphdgla.cli import (
     EXIT_CAP, EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main,
 )
-from graphdgla.graphs import MAX_LITERAL_M
+from graphdgla.graphs import MAX_LITERAL_M, GraphError
+from graphdgla.kontsevich import PoissonError, PoissonStructure, Poly
 
 SO3_JSON = {
     "d": 3,
@@ -25,6 +28,8 @@ SO3_JSON = {
 }
 
 NINES = "9" * 5000
+
+BIG_TERM = "%s * G{m=2; v1=(b1,b2)}" % ("7" * 3000)
 
 SYMPLECTIC_JSON = {"d": 2, "kind": "constant", "alpha": [["0", "1"], ["-1", "0"]]}
 
@@ -202,6 +207,29 @@ class TestVectorCommands:
         assert outs[0] == outs[1]
         assert outs[0][0] == EXIT_OK and "m=3" in outs[0][1] and "m=4" in outs[0][1]
 
+    # every input number is within the digit limit; the exact result has a
+    # coefficient of 6,000 digits or an exponent of 4,301, which str() refuses
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before Python 3.10.7")
+    @pytest.mark.parametrize(
+        "argv, digits",
+        [
+            (("compose", BIG_TERM, BIG_TERM), 6000),
+            (("compose", BIG_TERM, BIG_TERM, "--format", "json"), 6000),
+            (("evaluate", "G{m=2;}", "--functions", "x1^%s;x1^%s" % (("9" * 4300,) * 2)), 4301),
+        ],
+        ids=["text", "json", "evaluate-exponent"],
+    )
+    def test_result_number_past_int_digit_limit(self, capsys, symplectic_file, argv, digits):
+        if argv[0] == "evaluate":
+            argv += ("--poisson", symplectic_file)
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == EXIT_CAP and captured.out == ""
+        assert captured.err == (
+            "error: a number of the result has %d digits, more than the %d"
+            " that can be printed\n" % (digits, sys.get_int_max_str_digits()))
+
 
 class TestSolve:
     def test_constant_exit_ok(self, capsys):
@@ -236,6 +264,26 @@ class TestSolve:
         evaluated = json.loads(out)["evaluated_defect"]
         assert evaluated["nonzero_triples"] == count
         assert (evaluated["sample"] is None) == (count == 0)
+
+    @pytest.mark.parametrize(
+        "d, corpus",
+        [
+            (1, ["1", "x1", "x1^2", "x1^3"]),
+            (2, ["1", "x2", "x1", "x2^2"]),
+            (3, ["1", "x3", "x2", "x1"]),
+            (5, ["1", "x5", "x4", "x3"]),  # x1 and x2 are never drawn
+        ],
+    )
+    def test_poisson_corpus(self, capsys, tmp_path, monkeypatch, d, corpus):
+        # the corpus README states: the first four monomials of iter_monomials
+        seen = []
+        monkeypatch.setattr(cli, "associativity_defect",
+                            lambda series, alpha, *uvw: seen.append(tuple(map(str, uvw))) or [])
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"d": d, "kind": "linear", "c": []}))
+        code, _ = run(capsys, "solve", "1", "--poisson", str(path))
+        assert code == EXIT_OK
+        assert seen == list(itertools.product(corpus, repeat=3))
 
     def test_negative_control(self, capsys, monkeypatch):
         # the wrong sigma normalization must break the Moyal identity
@@ -468,6 +516,24 @@ class TestEvaluate:
         assert code == EXIT_OK
         assert out == "246913578024691357802469135781/2\n"
 
+    @pytest.mark.parametrize(
+        "data, problem",
+        [
+            (b'\xff\xfe{"d": 2}', "not UTF-8 at byte 0"),
+            (b'{"d": 2, "kind": "\xe9"}', "not UTF-8 at byte 18"),
+            (b"[" * 100000 + b"]" * 100000, "nested too deeply"),
+        ],
+        ids=["utf-16-bom", "latin-1", "nested"],
+    )
+    def test_unreadable_poisson_file(self, capsys, tmp_path, data, problem):
+        path = tmp_path / "p.json"
+        path.write_bytes(data)
+        code = main(["evaluate", "G{m=2; v1=(b1,b2)}",
+                     "--poisson", str(path), "--functions", "x1;x2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == "error: bad Poisson file %s: invalid JSON: %s\n" % (path, problem)
+
 
 def test_benchmark_tracer_binds_every_traced_name():
     # benchmark/tracing.py wraps named functions of graphdgla and raises on a
@@ -494,6 +560,45 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == EXIT_INTERNAL and captured.out == ""
     assert captured.err == "internal error: RuntimeError('boom')\n"
     assert EXIT_INTERNAL not in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT, EXIT_CAP)
+
+
+def _fault(exc):
+    def raises(*args, **kwargs):
+        raise exc
+    return raises
+
+
+@pytest.mark.parametrize(
+    "owner, name, exc, argv, poisson",
+    [
+        (kontsevich, "_mul", ValueError("engine bug"),
+         ("evaluate", "G{m=2; v1=(b1,b2)}", "--functions", "x1;x2"), SYMPLECTIC_JSON),
+        (algebra, "canonicalize", ValueError("engine bug"),
+         ("sigma", "G{m=3; v1=(b1,b3); v2=(b2,b3)}"), None),
+        (PoissonStructure, "linear", TypeError("engine bug"),
+         ("evaluate", "G{m=2; v1=(b1,b2)}", "--functions", "x1;x2"), SO3_JSON),
+    ],
+    ids=["poly-mul", "canonicalize", "poisson-linear"],
+)
+def test_engine_fault_is_not_input_error(capsys, tmp_path, monkeypatch, owner, name, exc,
+                                         argv, poisson):
+    # a ValueError or TypeError of the engine is its own fault: only an input
+    # check, which raises GraphError, makes exit code 2
+    if poisson is not None:
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps(poisson))
+        argv = (*argv, "--poisson", str(path))
+    monkeypatch.setattr(owner, name, _fault(exc))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL and captured.out == ""
+    assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+
+
+def test_one_input_error_type():
+    assert issubclass(PoissonError, GraphError) and issubclass(SigmaDomainError, GraphError)
+    with pytest.raises(GraphError):
+        Poly.parse("2x1", 2)
 
 
 @pytest.mark.parametrize(
