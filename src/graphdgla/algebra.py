@@ -18,7 +18,6 @@ from .graphs import (
     GraphError,
     LabeledGraph,
     SignedGraphClass,
-    b0,
     canonicalize,
     merge_boundary,
     number_text,
@@ -348,45 +347,58 @@ def bracket(f: GraphVector, g: GraphVector) -> GraphVector:
     )
 
 
-_B0 = b0().graph
+def differential_terms(g: LabeledGraph) -> dict[LabeledGraph, int]:
+    """d Gamma for the graph ``g``, as integer coefficients of canonical classes.
+
+    d = ad(b0) = [b0, .] raises m by one and preserves n.  Let I_j be Gamma
+    with an isolated boundary vertex inserted at position j (1 <= j <= m + 1).
+    In [b0, Gamma], b0 o Gamma is I_{m+1} + (-1)^{m-1} I_1, and Gamma o_i b0
+    splits slot i in two, reattaching each of its k_i edges to one half,
+    with the sign (-1)^{m+i-1}.  The two extreme splittings of slot i, all
+    edges on one half, are I_i and I_{i+1}; over the slots these telescope
+    to (-1)^m I_1 - I_{m+1} and cancel b0 o Gamma.  When k_i = 0 the two
+    extremes are one graft, I_i, so the telescoping sum holds one I_i too
+    many, and (-1)^{m+i} I_i is left.
+
+    So per slot i the targets above it shift up once, and the edges on it
+    take the halves i and i + 1 as the bits of 1 .. 2^{k_i} - 2 say: exactly
+    the proper splittings (both halves hit), with the sign (-1)^{m+i-1}, or
+    the single I_i with the sign (-1)^{m+i} when k_i = 0.  Each graph made is
+    canonicalized once; entries that cancel are dropped.
+    """
+    m = g.m
+    tally: dict[LabeledGraph, int] = {}
+    for slot in range(m):  # boundary vertex i = slot + 1
+        sign = 1 if (m + slot) % 2 == 0 else -1  # (-1)^{m+i-1}
+        flat = [t + 1 if t > slot else t for pair in g.targets for t in pair]
+        loose = [p for p, t in enumerate(flat) if t == slot]
+        if loose:
+            # product's first and last choices are the extremes
+            halves = itertools.product((slot, slot + 1), repeat=len(loose))
+            choices = itertools.islice(halves, 1, 2 ** len(loose) - 1)
+        else:
+            choices, sign = [()], -sign  # I_i
+        for choice in choices:
+            for p, t in zip(loose, choice):
+                flat[p] = t
+            pairs = iter(flat)
+            c = canonicalize(LabeledGraph(m + 1, tuple(zip(pairs, pairs))))
+            if not c.is_zero:
+                tally[c.graph] = tally.get(c.graph, 0) + sign * c.sign
+    return {h: k for h, k in tally.items() if k}
 
 
 def differential(f: GraphVector) -> GraphVector:
-    """The pointed differential ad(b0) = [b0, .]; raises m by one, preserves n.
-
-    Let I_j be a term c * Gamma of ``f`` with an isolated boundary vertex
-    inserted at position j (1 <= j <= m + 1).  In [b0, Gamma], b0 o Gamma
-    is I_{m+1} + (-1)^{m-1} I_1, and Gamma o_i b0 splits slot i in two,
-    reattaching each of its k_i edges to one half, with the sign
-    (-1)^{m+i-1}.  The two extreme splittings of slot i, all edges on one
-    half, are I_i and I_{i+1}; over the slots these telescope to
-    (-1)^m I_1 - I_{m+1} and cancel b0 o Gamma.  When k_i = 0 the two
-    extremes are one graft, I_i, so the telescoping sum holds one I_i too
-    many, and (-1)^{m+i} I_i is left.  So d Gamma is, per slot i, the
-    2^{k_i} - 2 proper splittings (both halves hit) with the sign
-    (-1)^{m+i-1}, or (-1)^{m+i} I_i when k_i = 0; no cancelling graft is
-    made.  The splittings are ``_reattachments`` of b0, filtered.
-    """
+    """The pointed differential ad(b0) = [b0, .]: the sum of c * ``differential_terms(g)``
+    over the terms c * g of ``f``, which must be m-homogeneous."""
     if f.is_zero:
         return GraphVector()
-    m = f.boundary_arity()
-    if m is None:
+    if f.boundary_arity() is None:
         raise GraphError("the differential requires an m-homogeneous argument")
-
-    def splittings():
-        for g, c in f:
-            k = g.in_degrees()
-            for i in range(1, m + 1):
-                sign = c if (m + i) % 2 else -c  # (-1)^{m+i-1} c
-                for raw in _reattachments(g, i, _B0, None):
-                    if not k[i - 1]:
-                        yield canonicalize(raw), -sign  # the one graft, I_i
-                    else:
-                        halves = raw.in_degrees()
-                        if halves[i - 1] and halves[i]:
-                            yield canonicalize(raw), sign
-
-    return GraphVector.combine(splittings())
+    acc: dict[LabeledGraph, Fraction] = {}
+    for g, c in f:
+        add_terms(acc, ((h, c * k) for h, k in differential_terms(g).items()))
+    return GraphVector(acc)
 
 
 # -- merger contraction ----------------------------------------------------

@@ -1,20 +1,22 @@
 """Exact low-degree cohomology of the graph complex.
 
 The differential preserves the internal-vertex count n, so each (n, m)
-component gives a finite exact boundary matrix, ranked by sparse exact
-elimination over Q.  A rank needs only the columns: a column is the
-differential of one class of G_{n,m}, and the rows are the classes that the
-differential hits, so a table enumerates each G_{n,m} once, as a matrix's
-source, and never G_{n,m_max+1}.  The differential forms only the proper
-boundary splittings of a class (``algebra.differential``), so building a
-matrix canonicalizes no graft that cancels.
+component gives a finite exact boundary matrix, ranked by sparse
+fraction-free elimination on integers.  A rank needs only the columns: a
+column is the differential of one class of G_{n,m}, and the rows are the
+classes that the differential hits, so a table enumerates each G_{n,m}
+once, as a matrix's source, and never G_{n,m_max+1}.  Each column is the
+per-class integer kernel ``algebra.differential_terms``, which forms only
+the proper boundary splittings of the class, so building a matrix
+canonicalizes no graft that cancels and makes no ``Fraction``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GraphVector, add_terms, differential, vec
+from .algebra import GraphVector, add_terms, differential, differential_terms, vec
 from .graphs import (
     DEFAULT_CAP,
     GraphError,
@@ -35,7 +37,7 @@ class BoundaryMatrix:
     m: int
     source: list[LabeledGraph]
     target: list[LabeledGraph]
-    columns: list[dict[int, Fraction]]  # per source class: target index -> coeff
+    columns: list[dict[int, int]]  # per source class: target index -> coeff
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -44,27 +46,36 @@ class BoundaryMatrix:
 
 def boundary_matrix(n: int, m: int, cap: int = DEFAULT_CAP) -> BoundaryMatrix:
     source = enumerate_classes(n, m, cap=cap)
-    images = [differential(vec(c)) for c in source]
-    target = sorted({h for image in images for h, _ in image}, key=LabeledGraph.sort_key)
+    images = [differential_terms(c.graph) for c in source]
+    target = sorted({h for image in images for h in image}, key=LabeledGraph.sort_key)
     index = {h: row for row, h in enumerate(target)}
-    columns = [{index[h]: coeff for h, coeff in image} for image in images]
+    columns = [{index[h]: k for h, k in image.items()} for image in images]
     return BoundaryMatrix(n, m, [c.graph for c in source], target, columns)
 
 
 def rank(matrix: BoundaryMatrix) -> int:
-    """Rank over Q: reduce each column against the pivots keyed by leading row."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+    """Rank over Q by fraction-free elimination on integers.
+
+    Each column is reduced against the pivots keyed by leading row: with
+    lead entries a of the pivot and b of the column, the column becomes
+    a * col - b * pivot, divided by the gcd of its entries.  A column with
+    rational entries is scaled to integers once, on entry.
+    """
+    pivots: dict[int, dict[int, int]] = {}
     for entries in matrix.columns:
-        col = {row: c for row, c in entries.items() if c}
+        scale = math.lcm(*(c.denominator for c in entries.values()))
+        col = {row: int(c * scale) for row, c in entries.items() if c}
         while col:
             lead = min(col)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = col
                 break
-            factor = col[lead] / pivot[lead]
-            add_terms(col, ((row, -factor * c) for row, c in pivot.items()))
-            col = {row: c for row, c in col.items() if c}
+            a, b = pivot[lead], col[lead]
+            col = {row: a * c for row, c in col.items()}
+            add_terms(col, ((row, -b * c) for row, c in pivot.items()))
+            content = math.gcd(*col.values()) or 1  # 0 when the column cancels
+            col = {row: c // content for row, c in col.items() if c}
     return len(pivots)
 
 

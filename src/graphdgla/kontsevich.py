@@ -31,6 +31,11 @@ class PoissonError(GraphError):
     """Invalid Poisson structure data."""
 
 
+# the most coordinates a Poisson file may declare: every exponent is a
+# tuple of "d" entries, so an absurd "d" is rejected where it is read
+MAX_POISSON_D = 10_000
+
+
 # -- polynomials -----------------------------------------------------------
 
 
@@ -233,13 +238,41 @@ def _json_int(text: str):
         return _Literal(text)
 
 
+# the most characters of a bad value that an error message echoes
+_QUOTE_MAX = 200
+
+
 def _quote(value) -> str:
-    """``value`` as the file wrote it: each ``_Literal`` by its text, the rest as JSON."""
-    if isinstance(value, (list, tuple)):
-        return "[%s]" % ", ".join(map(_quote, value))
-    if isinstance(value, dict):
-        return "{%s}" % ", ".join(json.dumps(k) + ": " + _quote(v) for k, v in value.items())
-    return value.text if type(value) is _Literal else json.dumps(value)
+    """``value`` as the file wrote it: each ``_Literal`` by its text, the rest
+    as JSON, cut short with "..." after ``_QUOTE_MAX`` characters.  Arrays and
+    objects are walked with a stack of iterators, not by recursion, since
+    ``json.load`` accepts nesting deeper than the recursion limit."""
+    out: list[str] = []
+    size = 0
+    items = [iter([("", value)])]  # per open container: its (prefix, item) pairs
+    closers = [""]
+    while items and size <= _QUOTE_MAX:
+        pair = next(items[-1], None)
+        if pair is None:
+            items.pop()
+            text = closers.pop()
+        else:
+            prefix, item = pair
+            if isinstance(item, (list, tuple)):
+                items.append((", " if k else "", v) for k, v in enumerate(item))
+                closers.append("]")
+                text = prefix + "["
+            elif isinstance(item, dict):
+                items.append(((", " if k else "") + json.dumps(key) + ": ", v)
+                             for k, (key, v) in enumerate(item.items()))
+                closers.append("}")
+                text = prefix + "{"
+            else:
+                text = prefix + (item.text if type(item) is _Literal else json.dumps(item))
+        out.append(text)
+        size += len(text)
+    text = "".join(out)
+    return text if size <= _QUOTE_MAX else text[:_QUOTE_MAX] + "..."
 
 
 def _field(obj: dict, name: str, where: str):
@@ -397,6 +430,8 @@ class PoissonStructure:
         d = _integer(d, '"d"')
         if d < 1:
             raise PoissonError('"d" must be >= 1, got %d' % d)
+        if d > MAX_POISSON_D:
+            raise PoissonError('"d" must be <= %d, got %s' % (MAX_POISSON_D, _quote(d)))
         if kind == "constant":
             rows = _require_json(_field(obj, "alpha", "the top level"), list, '"alpha"')
             if len(rows) != d:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -533,6 +534,48 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err == "error: bad Poisson file %s: invalid JSON: %s\n" % (path, problem)
+
+    @pytest.mark.parametrize("d", [10**100, 10**9], ids=["googol", "billion"])
+    def test_poisson_file_d_past_limit(self, capsys, tmp_path, d):
+        # refused where it is read: [0] * d would overflow, or allocate gigabytes
+        path = tmp_path / "p.json"
+        path.write_text('{"d": %d, "kind": "linear", "c": []}' % d)
+        tracemalloc.start()
+        try:
+            code = main(["evaluate", "G{m=2; v1=(b1,b2)}",
+                         "--poisson", str(path), "--functions", "x1;x2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == 'error: bad Poisson file %s: "d" must be <= %d, got %d\n' % (
+            path, kontsevich.MAX_POISSON_D, d)
+        assert peak < 10**7
+
+    def test_poisson_file_d_at_limit(self):
+        obj = {"d": kontsevich.MAX_POISSON_D, "kind": "linear", "c": []}
+        assert PoissonStructure.from_json_obj(obj).d == kontsevich.MAX_POISSON_D
+
+    @pytest.mark.parametrize(
+        "template, detail",
+        [
+            ('{"d": 3, "kind": %s}', "unknown kind "),
+            ('{"d": 3, "kind": "linear", "c": [{"i": 1, "j": 2, "k": 3, "val": %s}]}',
+             'entry c[0]: "val" must be a number or numeric string, got '),
+        ],
+        ids=["kind", "val"],
+    )
+    def test_poisson_value_nested_deeply(self, capsys, tmp_path, template, detail):
+        # json.load accepts the nesting; the message echoes only its start
+        path = tmp_path / "p.json"
+        path.write_text(template % ("[" * 900 + "]" * 900))
+        code = main(["evaluate", "G{m=2; v1=(b1,b2)}",
+                     "--poisson", str(path), "--functions", "x1;x2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert captured.err == "error: bad Poisson file %s: %s%s...\n" % (
+            path, detail, "[" * kontsevich._QUOTE_MAX)
 
 
 def test_benchmark_tracer_binds_every_traced_name():

@@ -16,8 +16,8 @@ from graphdgla.homology import (
     merged_differential_factor,
     rank,
 )
-from graphdgla.algebra import add_terms, vec
-from graphdgla.graphs import GraphError, b0, b1, enumerate_classes
+from graphdgla.algebra import add_terms, differential, vec
+from graphdgla.graphs import GraphError, SignedGraphClass, b0, b1, enumerate_classes
 
 # exact dimensions computed once and frozen; the n <= 3 rows were first
 # computed by dense fraction-free elimination, the n = 4 rows by the sparse rank
@@ -94,6 +94,46 @@ def dense_rank(matrix: BoundaryMatrix) -> int:
     return _rank_bareiss(_integer_rows(dense_rows(matrix)))
 
 
+# -- sparse elimination over Q: the oracle for ``rank``'s integer arithmetic --
+
+
+def _rank_fraction(matrix: BoundaryMatrix) -> int:
+    """Rank over Q: reduce each column against the pivots keyed by leading row."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for entries in matrix.columns:
+        col = {row: Fraction(c) for row, c in entries.items() if c}
+        while col:
+            lead = min(col)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = col
+                break
+            factor = col[lead] / pivot[lead]
+            add_terms(col, ((row, -factor * c) for row, c in pivot.items()))
+            col = {row: c for row, c in col.items() if c}
+    return len(pivots)
+
+
+def _random_rational_matrix(rng: random.Random) -> BoundaryMatrix:
+    """A sparse matrix with non-integer rational entries; some columns are
+    combinations of earlier ones, so that elimination cancels."""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 12)
+    columns: list[dict[int, Fraction]] = []
+    for _ in range(cols):
+        if columns and rng.random() < 0.3:
+            col: dict[int, Fraction] = {}
+            for earlier in rng.sample(columns, min(len(columns), 3)):
+                k = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                add_terms(col, ((row, k * c) for row, c in earlier.items()))
+        else:
+            # an odd numerator over an even denominator is never an integer
+            hit = {rng.randrange(rows)} | {row for row in range(rows) if rng.random() < 0.3}
+            col = {row: Fraction(rng.randint(-5, 4) * 2 + 1, 2 * rng.randint(1, 4))
+                   for row in sorted(hit)}
+        columns.append(col)
+    return BoundaryMatrix(0, 0, source=[None] * cols, target=[None] * rows, columns=columns)
+
+
 class TestBoundaryMatrix:
     def test_b1_column_zero(self):
         mat = boundary_matrix(1, 2)
@@ -118,6 +158,14 @@ class TestBoundaryMatrix:
                         column = outer.columns[column_of[mid]].items()
                         add_terms(image, ((row, c * c2) for row, c2 in column))
                     assert not any(image.values())
+
+    def test_columns_are_the_differential(self):
+        for n in range(4):
+            for m in range(1, 4):
+                mat = boundary_matrix(n, m)
+                for g, col in zip(mat.source, mat.columns):
+                    image = differential(vec(SignedGraphClass(g, 1)))
+                    assert {mat.target[row]: c for row, c in col.items()} == dict(image)
 
     @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
     def test_rows_are_distinct_classes_hit(self, n, m):
@@ -160,6 +208,22 @@ class TestRank:
     def test_matches_dense_oracle(self, n, m):
         mat = boundary_matrix(n, m)
         assert rank(mat) == dense_rank(mat)
+
+    @pytest.mark.parametrize("n, m", ORACLE_SHAPES)
+    def test_matches_fraction_oracle(self, n, m):
+        mat = boundary_matrix(n, m)
+        assert rank(mat) == _rank_fraction(mat)
+
+    def test_rational_entries_match_fraction_oracle(self):
+        rng = random.Random(29)
+        deficient = 0
+        for _ in range(200):
+            mat = _random_rational_matrix(rng)
+            assert any(c.denominator > 1 for col in mat.columns for c in col.values())
+            r = rank(mat)
+            assert r == _rank_fraction(mat)
+            deficient += r < min(mat.shape)
+        assert deficient > 20  # the cancelling columns are exercised
 
     def test_basis_order_independence(self):
         rng = random.Random(7)
